@@ -1,10 +1,8 @@
-//! EXP-ARENA — planned arena executor vs. the legacy per-run allocator.
+//! EXP-ARENA — what holding a session buys over the one-shot convenience API.
 //!
-//! Three variants per model, all single-thread under the Orpheus
+//! Two variants per model, all single-thread under the Orpheus
 //! personality:
 //!
-//! * `legacy`  — `Network::run_unplanned`: fresh activation `Vec`s every
-//!   layer, freed by liveness as the run proceeds (the pre-plan executor).
 //! * `oneshot` — `Network::run`: a throwaway `Session` per call, so each
 //!   run pays arena construction once (the convenience-API cost).
 //! * `session` — one held `Session`: the steady-state path, zero activation
@@ -21,9 +19,6 @@ fn session_arena(c: &mut Criterion) {
     group.sample_size(10);
     for model in [ModelKind::TinyCnn, ModelKind::LeNet5, ModelKind::Wrn40_2] {
         let (network, input) = load_network(Personality::Orpheus, model, 1);
-        group.bench_function(format!("{}/legacy", model.name()), |b| {
-            b.iter(|| black_box(network.run_unplanned(&input).expect("inference succeeds")))
-        });
         group.bench_function(format!("{}/oneshot", model.name()), |b| {
             b.iter(|| black_box(network.run(&input).expect("inference succeeds")))
         });

@@ -980,12 +980,9 @@ pub fn run_traced_profile(
 /// EXP-REP: the `repeat` subcommand — `runs` timed inferences after
 /// `warmup` discarded warm-up runs, summarized as percentile latency. Uses
 /// a local [`Histogram`](orpheus_observe::Histogram) rather than the global
-/// recorder, so it composes with any concurrent recording.
-///
-/// By default the timed loop reuses one [`orpheus::Session`], so it measures
-/// the zero-allocation arena executor. With `legacy` set it measures the
-/// per-run allocating executor instead (`Network::run_unplanned`) — the
-/// pair is the session-vs-legacy smoke comparison `scripts/check.sh` runs.
+/// recorder, so it composes with any concurrent recording. The timed loop
+/// reuses one [`orpheus::Session`], so it measures the zero-allocation arena
+/// executor at steady state.
 ///
 /// # Errors
 ///
@@ -997,7 +994,6 @@ pub fn run_repeat(
     threads: usize,
     runs: usize,
     warmup: usize,
-    legacy: bool,
 ) -> Result<LatencyStats, EngineError> {
     let engine = Engine::builder()
         .personality(personality)
@@ -1008,25 +1004,14 @@ pub fn run_repeat(
     let dims = [1, model.input_dims()[1], input_hw, input_hw];
     let input = Tensor::full(&dims, 0.5);
     let mut histogram = orpheus_observe::Histogram::default();
-    if legacy {
-        for _ in 0..warmup {
-            network.run_unplanned(&input)?;
-        }
-        for _ in 0..runs.max(1) {
-            let start = Instant::now();
-            network.run_unplanned(&input)?;
-            histogram.record(start.elapsed().as_micros() as u64);
-        }
-    } else {
-        let mut session = network.session();
-        for _ in 0..warmup {
-            session.run(&input)?;
-        }
-        for _ in 0..runs.max(1) {
-            let start = Instant::now();
-            session.run(&input)?;
-            histogram.record(start.elapsed().as_micros() as u64);
-        }
+    let mut session = network.session();
+    for _ in 0..warmup {
+        session.run(&input)?;
+    }
+    for _ in 0..runs.max(1) {
+        let start = Instant::now();
+        session.run(&input)?;
+        histogram.record(start.elapsed().as_micros() as u64);
     }
     Ok(LatencyStats::from_histogram(&histogram))
 }
@@ -1236,8 +1221,7 @@ mod observe_tests {
 
     #[test]
     fn repeat_reports_monotonic_percentiles() {
-        let stats =
-            run_repeat(Personality::Orpheus, ModelKind::TinyCnn, 8, 1, 5, 1, false).unwrap();
+        let stats = run_repeat(Personality::Orpheus, ModelKind::TinyCnn, 8, 1, 5, 1).unwrap();
         assert_eq!(stats.runs, 5);
         assert!(stats.min_us > 0);
         assert!(stats.p50_us >= stats.min_us);
@@ -1247,13 +1231,6 @@ mod observe_tests {
         let text = stats.render();
         assert!(text.contains("p99"));
         assert!(text.contains("runs: 5"));
-    }
-
-    #[test]
-    fn repeat_legacy_mode_uses_unplanned_executor() {
-        let stats = run_repeat(Personality::Orpheus, ModelKind::TinyCnn, 8, 1, 3, 1, true).unwrap();
-        assert_eq!(stats.runs, 3);
-        assert!(stats.min_us > 0);
     }
 }
 

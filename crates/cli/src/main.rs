@@ -9,7 +9,7 @@
 //! orpheus-cli table1 [--measured]
 //! orpheus-cli profile --model M [--personality P] [--hw N] [--runs N] [--report]
 //!                     [--trace-out F] [--events-out F] [--metrics-out F]
-//! orpheus-cli repeat --model M [--personality P] [--hw N] [--runs N] [--warmup N] [--legacy] [--json]
+//! orpheus-cli repeat --model M [--personality P] [--hw N] [--runs N] [--warmup N] [--json]
 //! orpheus-cli layers --model M [--personality P] [--hw N]
 //! orpheus-cli depthwise [--hw N]
 //! orpheus-cli simplify --model M [--hw N] [--repeats N]
@@ -114,7 +114,7 @@ const USAGE: &str = "usage:
   orpheus-cli figure2 [--quick] [--repeats N] [--threads N] [--models a,b] [--include-darknet] [--csv] [--trace-out F] [--metrics-out F]
   orpheus-cli table1 [--measured]
   orpheus-cli profile --model M [--personality P] [--hw N] [--threads N] [--runs N] [--report] [--trace-out F] [--events-out F] [--metrics-out F] [--openmetrics-out F] [--flight-out F]
-  orpheus-cli repeat --model M [--personality P] [--hw N] [--threads N] [--runs N] [--warmup N] [--legacy] [--json]
+  orpheus-cli repeat --model M [--personality P] [--hw N] [--threads N] [--runs N] [--warmup N] [--json]
   orpheus-cli layers --model M [--personality P] [--hw N]
   orpheus-cli depthwise [--hw N]
   orpheus-cli simplify --model M [--hw N] [--repeats N]
@@ -332,21 +332,15 @@ fn run(argv: &[String]) -> Result<(), String> {
             let threads = args.usize_or("--threads", 1)?;
             let runs = args.usize_or("--runs", 30)?;
             let warmup = args.usize_or("--warmup", 3)?;
-            let legacy = args.flag("--legacy");
-            let stats = run_repeat(personality, model, hw, threads, runs, warmup, legacy)
+            let stats = run_repeat(personality, model, hw, threads, runs, warmup)
                 .map_err(|e| e.to_string())?;
             if args.flag("--json") {
                 // Same serialization the bench artifact uses for latency.
                 println!("{}", stats.to_json());
                 return Ok(());
             }
-            let executor = if legacy {
-                "legacy per-run allocator"
-            } else {
-                "session arena"
-            };
             println!(
-                "repeat: {model} under {personality} at {hw}x{hw}, {threads} thread(s), {warmup} warm-up run(s) discarded, {executor}"
+                "repeat: {model} under {personality} at {hw}x{hw}, {threads} thread(s), {warmup} warm-up run(s) discarded"
             );
             print!("{}", stats.render());
             Ok(())

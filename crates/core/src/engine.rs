@@ -11,11 +11,11 @@ use orpheus_threads::ThreadPool;
 
 use crate::error::EngineError;
 use crate::fault::FaultMode;
-use crate::lower::{lower, Plan};
-use crate::memory::MemoryTracker;
+use crate::lower::{lower, Plan, PlanStep};
+use crate::memory::MemoryStats;
 use crate::personality::{Personality, ThreadPolicy};
-use crate::plan::{plan_memory, MemoryPlan};
-use crate::profile::{LayerTiming, Profile};
+use crate::plan::MemoryPlan;
+use crate::profile::Profile;
 use crate::selection::SelectionPolicy;
 use crate::session::Session;
 
@@ -97,7 +97,7 @@ impl EngineBuilder {
 
     /// Injects a runtime fault into every lowered layer whose implementation
     /// string contains `needle` (robustness drill: by default the wrapped
-    /// layers fail every `run`, exercising the reference-fallback path; see
+    /// layers fail every run, exercising the reference-fallback path; see
     /// [`EngineBuilder::fault_mode`] for panicking and flaky variants).
     pub fn fault_injection(mut self, needle: &str) -> Self {
         self.fault_injection = Some(needle.to_string());
@@ -112,10 +112,9 @@ impl EngineBuilder {
     }
 
     /// Test support: corrupts the plan description `bucket` feeds the plan
-    /// sanitizer at `Engine::load`, proving the sanitizer rejects an
-    /// unsound plan with the offending bucket and code attributed. Forces
-    /// the sanitizer on even in release builds. Never use outside tests —
-    /// a load configured this way is expected to fail.
+    /// check at `Engine::load`, proving the check rejects an unsound plan
+    /// with the offending bucket and code attributed. Never use outside
+    /// tests — a load configured this way is expected to fail.
     #[doc(hidden)]
     pub fn corrupt_plan(
         mut self,
@@ -293,75 +292,20 @@ impl Engine {
                 }));
             }
         }
-        let mut plan = {
+        let plan = {
             let mut lower_span = observe::span("lower", "engine");
             let plan = lower(self, &graph)?;
             lower_span.attr("layers", plan.steps.len());
             plan
         };
-        if let Some(needle) = &self.fault_injection {
-            plan.steps = plan
-                .steps
-                .into_iter()
-                .map(|mut step| {
-                    if step.layer.implementation().contains(needle.as_str()) {
-                        observe::flight_record(
-                            "engine",
-                            "fault.injected",
-                            format!("{} ({})", step.layer.name(), step.layer.implementation()),
-                        );
-                        step.layer =
-                            Box::new(crate::fault::FaultyLayer::new(step.layer, self.fault_mode));
-                        // A wrapped view must execute (and fail, and fall
-                        // back) as a compute step — it cannot be aliased
-                        // away by the memory planner.
-                        step.viewable = false;
-                    }
-                    step
-                })
-                .collect();
+        // Prove every bucket's memory plan sound before any session trusts
+        // it. The test-support corruption hook forges a bad plan description
+        // first, proving rejection attributes bucket + code.
+        let mut spec = crate::plan::plan_spec(&graph.name, &plan);
+        if let Some((corruption, bucket)) = self.plan_corruption {
+            orpheus_verify::corrupt_plan(&mut spec, corruption, bucket);
         }
-        // Plan activation memory once per batch bucket, after the step list
-        // is final: every session preallocates exactly these buffers. The
-        // base bucket's plan doubles as `plan.memory` for bucket-unaware
-        // call sites.
-        let bucket_memory: Vec<MemoryPlan> = plan
-            .buckets
-            .iter()
-            .map(|bucket| crate::plan::plan_memory_with(&plan, &bucket.slot_dims))
-            .collect();
-        for (bucket, memory) in plan.buckets.iter_mut().zip(bucket_memory) {
-            bucket.memory = Some(memory);
-        }
-        plan.memory = match plan.buckets.first() {
-            Some(base) => base.memory.clone(),
-            None => Some(plan_memory(&plan)),
-        };
-        // Debug builds prove every bucket's memory plan sound (the plan
-        // sanitizer, mirroring the per-pass IR sanitizer above) before any
-        // session trusts it; release builds trust the planner. The
-        // test-support corruption hook forges a bad plan description and
-        // forces the check on, proving rejection attributes bucket + code.
-        if cfg!(debug_assertions) || self.plan_corruption.is_some() {
-            let mut spec = crate::plan::plan_spec(&graph.name, &plan);
-            if let Some((corruption, bucket)) = self.plan_corruption {
-                orpheus_verify::corrupt_plan(&mut spec, corruption, bucket);
-            }
-            let report = orpheus_verify::check_plan(&spec);
-            let first_violation = report
-                .buckets
-                .iter()
-                .find(|b| !b.diagnostics.is_empty())
-                .map(|b| (b.batch, &b.diagnostics[0]))
-                .or_else(|| report.ladder.first().map(|d| (0, d)));
-            if let Some((bucket, diagnostic)) = first_violation {
-                return Err(EngineError::PlanCheck {
-                    bucket,
-                    code: diagnostic.code.as_str(),
-                    message: diagnostic.message.clone(),
-                });
-            }
-        }
+        reject_unsound(&orpheus_verify::check_plan(&spec))?;
         observe::flight_record(
             "engine",
             "load",
@@ -396,6 +340,52 @@ impl Engine {
             graph
         };
         self.load(graph)
+    }
+
+    /// Wraps every step whose implementation string matches the configured
+    /// fault-injection needle (no-op without one).
+    pub(crate) fn inject_faults(&self, steps: Vec<PlanStep>) -> Vec<PlanStep> {
+        let Some(needle) = &self.fault_injection else {
+            return steps;
+        };
+        steps
+            .into_iter()
+            .map(|mut step| {
+                if step.layer.implementation().contains(needle.as_str()) {
+                    observe::flight_record(
+                        "engine",
+                        "fault.injected",
+                        format!("{} ({})", step.layer.name(), step.layer.implementation()),
+                    );
+                    step.layer =
+                        Box::new(crate::fault::FaultyLayer::new(step.layer, self.fault_mode));
+                    // A wrapped view must execute (and fail, and fall
+                    // back) as a compute step — it cannot be aliased
+                    // away by the memory planner.
+                    step.viewable = false;
+                }
+                step
+            })
+            .collect()
+    }
+}
+
+/// Turns the first violation of a plan-check report into the load error
+/// (bucket 0 = the cross-bucket ladder sentinel).
+fn reject_unsound(report: &orpheus_verify::PlanCheckReport) -> Result<(), EngineError> {
+    let first_violation = report
+        .buckets
+        .iter()
+        .find(|b| !b.diagnostics.is_empty())
+        .map(|b| (b.batch, &b.diagnostics[0]))
+        .or_else(|| report.ladder.first().map(|d| (0, d)));
+    match first_violation {
+        Some((bucket, diagnostic)) => Err(EngineError::PlanCheck {
+            bucket,
+            code: diagnostic.code.as_str(),
+            message: diagnostic.message.clone(),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -443,7 +433,7 @@ impl Network {
     /// static memory-plan summary.
     pub fn describe(&self) -> String {
         let mut out = format!("network {} ({} layers)\n", self.name, self.num_layers());
-        for step in &self.plan.steps {
+        for step in self.plan.steps.iter() {
             out.push_str(&format!(
                 "  {:<30} {:<12} {}\n",
                 step.layer.name(),
@@ -451,18 +441,14 @@ impl Network {
                 step.layer.implementation()
             ));
         }
-        if let Some(memory) = &self.plan.memory {
-            out.push_str(&format!("  {}\n", memory.summary()));
-        }
+        out.push_str(&format!("  {}\n", self.memory_plan().summary()));
         if self.plan.buckets.len() > 1 {
             for bucket in &self.plan.buckets {
-                if let Some(memory) = &bucket.memory {
-                    out.push_str(&format!(
-                        "  batch bucket {}: {} arena byte(s)\n",
-                        bucket.batch,
-                        memory.arena_bytes()
-                    ));
-                }
+                out.push_str(&format!(
+                    "  batch bucket {}: {} arena byte(s)\n",
+                    bucket.batch,
+                    bucket.memory.arena_bytes()
+                ));
             }
         }
         out
@@ -478,8 +464,8 @@ impl Network {
 
     /// The static activation-memory plan computed at load time (for the
     /// base batch bucket).
-    pub fn memory_plan(&self) -> Option<&MemoryPlan> {
-        self.plan.memory.as_ref()
+    pub fn memory_plan(&self) -> &MemoryPlan {
+        &self.plan.buckets[0].memory
     }
 
     /// The static activation-memory plan of every batch bucket, as
@@ -488,15 +474,14 @@ impl Network {
         self.plan
             .buckets
             .iter()
-            .filter_map(|b| b.memory.as_ref().map(|m| (b.batch, m)))
+            .map(|b| (b.batch, &b.memory))
             .collect()
     }
 
     /// Re-proves every bucket's memory plan sound with the static plan
     /// checker (`ORV015`–`ORV022`) and returns the per-bucket verdicts —
-    /// the `orpheus-cli lint --check-plan` path. Debug builds already ran
-    /// this as a sanitizer at load, so a loaded network verifies clean
-    /// there by construction.
+    /// the `orpheus-cli lint --check-plan` path. `Engine::load` already ran
+    /// this check, so a loaded network verifies clean by construction.
     pub fn check_plan(&self) -> orpheus_verify::PlanCheckReport {
         orpheus_verify::check_plan(&crate::plan::plan_spec(&self.name, &self.plan))
     }
@@ -554,144 +539,50 @@ impl Network {
         self.session().run_batch(inputs)
     }
 
-    /// Runs one inference on the legacy per-run-allocating executor.
+    /// Creates a session over the degenerate no-reuse memory plan: one
+    /// private buffer per slot, no view-moves, same executor.
     ///
-    /// Not part of the public 0.3.0 run surface ([`Session::run`],
-    /// [`Session::run_batch`], [`Session::run_into`] and their [`Network`]
-    /// wrappers): this is the differential-test reference path — the
-    /// executor the profiler instruments and the oracle the planned arena
-    /// path is proven bit-identical against. It only accepts the base-batch
-    /// input shape.
+    /// Test support — the oracle arena reuse is proven bit-identical
+    /// against: any divergence between this session and
+    /// [`Network::session`] is a buffer-sharing or view-aliasing bug, since
+    /// the two differ in nothing but the [`MemoryPlan`].
     ///
     /// # Errors
     ///
-    /// See [`Network::run`].
+    /// Returns [`EngineError::PlanCheck`] if the no-reuse plan fails the
+    /// static plan check — like [`Engine::load`], no session ever runs an
+    /// unchecked plan.
     #[doc(hidden)]
-    pub fn run_unplanned(&self, input: &Tensor) -> Result<Tensor, EngineError> {
-        self.execute(input, false).map(|(t, _)| t)
+    pub fn no_reuse_session(&self) -> Result<Session, EngineError> {
+        let plan = self.plan.without_reuse();
+        reject_unsound(&orpheus_verify::check_plan(&crate::plan::plan_spec(
+            &self.name, &plan,
+        )))?;
+        Ok(Session::new(
+            Arc::new(plan),
+            self.pool.clone(),
+            self.name.clone(),
+            false,
+        ))
     }
 
-    /// Runs one inference, returning per-layer timings and memory stats.
+    /// Runs one inference in a fresh session, returning per-layer timings
+    /// (one row per plan step) and the memory statistics of the plan the
+    /// session ran.
     ///
     /// # Errors
     ///
     /// See [`Network::run`].
     pub fn run_profiled(&self, input: &Tensor) -> Result<(Tensor, Profile), EngineError> {
-        let (out, profile) = self.execute(input, true)?;
-        Ok((out, profile.expect("profiled run returns a profile")))
-    }
-
-    fn execute(
-        &self,
-        input: &Tensor,
-        profiled: bool,
-    ) -> Result<(Tensor, Option<Profile>), EngineError> {
-        if input.dims() != self.plan.input_dims {
-            // Same error taxonomy as the session surface: one message shape
-            // for every run entry point (see `Plan::dims_error`).
-            return Err(self.plan.dims_error(input.dims()));
-        }
-        let mut run_span = observe::span("run", "engine");
-        run_span.attr("model", self.name.as_str());
+        let mut session = self.session();
+        let mut timings = Vec::with_capacity(self.num_layers());
         let start = Instant::now();
-        let mut slots: Vec<Option<Tensor>> = (0..self.plan.num_slots).map(|_| None).collect();
-        let mut tracker = MemoryTracker::new();
-        tracker.allocate(input.len() * 4);
-        slots[self.plan.input_slot] = Some(input.clone());
-        let mut timings = if profiled {
-            Vec::with_capacity(self.plan.steps.len())
-        } else {
-            Vec::new()
-        };
-
-        for (step_idx, step) in self.plan.steps.iter().enumerate() {
-            let inputs: Vec<&Tensor> = step
-                .inputs
-                .iter()
-                .map(|&s| {
-                    slots[s].as_ref().ok_or_else(|| {
-                        EngineError::Execution(format!(
-                            "layer {:?} reads slot {s} before it is produced",
-                            step.layer.name()
-                        ))
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            let mut layer_span = observe::span(step.layer.name(), "layer");
-            layer_span.attr("op", step.layer.op_name());
-            layer_span.attr("implementation", step.layer.implementation());
-            layer_span.attr("flops", step.layer.flops());
-            let layer_start = Instant::now();
-            let output = match step.layer.run(&inputs, &self.pool) {
-                Ok(out) => out,
-                Err(primary) => {
-                    // Graceful degradation: rebuild the layer on its
-                    // reference implementation and retry once. The original
-                    // error wins if even the reference path cannot run.
-                    let Some(fallback) = step.layer.reference_fallback() else {
-                        observe::flight_record(
-                            "selection",
-                            "fault.unrecoverable",
-                            format!("{}: {primary}", step.layer.name()),
-                        );
-                        return Err(primary);
-                    };
-                    let Ok(out) = fallback.run(&inputs, &self.pool) else {
-                        observe::flight_record(
-                            "selection",
-                            "fallback.failed",
-                            format!("{}: {primary}", step.layer.name()),
-                        );
-                        return Err(primary);
-                    };
-                    layer_span.attr("fallback", fallback.implementation());
-                    observe::counter_add("selection.fallback", 1);
-                    observe::flight_record(
-                        "selection",
-                        "fallback",
-                        format!(
-                            "{}: rescued by {} after: {primary}",
-                            step.layer.name(),
-                            fallback.implementation()
-                        ),
-                    );
-                    out
-                }
-            };
-            drop(layer_span);
-            if profiled {
-                timings.push(LayerTiming {
-                    name: step.layer.name().to_string(),
-                    op: step.layer.op_name().to_string(),
-                    implementation: step.layer.implementation(),
-                    duration: layer_start.elapsed(),
-                    flops: step.layer.flops(),
-                });
-            }
-            tracker.allocate(output.len() * 4);
-            slots[step.output] = Some(output);
-            // Liveness-driven reclamation: free every slot whose final
-            // consumer was this step.
-            for (slot_idx, &last) in self.plan.last_use.iter().enumerate() {
-                if last == step_idx && slot_idx != self.plan.output_slot {
-                    if let Some(t) = slots[slot_idx].take() {
-                        tracker.free_early(t.len() * 4);
-                    }
-                }
-            }
-        }
-
-        let output = slots[self.plan.output_slot]
-            .take()
-            .ok_or_else(|| EngineError::Execution("output slot empty after run".into()))?;
-        let total = start.elapsed();
-        observe::histogram_record("run.latency_us", total.as_micros() as u64);
-        drop(run_span);
-        let profile = profiled.then(|| Profile {
+        let output = session.run_with(input, Some(&mut timings))?.clone();
+        let profile = Profile {
             timings,
-            total,
-            memory: tracker.finish(),
-        });
+            total: start.elapsed(),
+            memory: MemoryStats::from_plan(self.memory_plan()),
+        };
         Ok((output, profile))
     }
 }
@@ -1076,26 +967,15 @@ mod tests {
             description.contains("memory plan:"),
             "missing plan summary:\n{description}"
         );
-        let mp = network.memory_plan().expect("plan attached at load");
+        let mp = network.memory_plan();
         assert!(mp.arena_bytes() > 0);
         assert!(mp.num_buffers() > 0);
         assert!(mp.reuse_ratio() >= 1.0);
     }
 
     #[test]
-    fn planned_and_unplanned_execution_bit_identical() {
-        let graph = build_model(ModelKind::TinyCnn);
-        let input = Tensor::from_fn(&[1, 3, 8, 8], |i| ((i * 11) % 17) as f32 * 0.07);
-        let network = Engine::builder().build().unwrap().load(graph).unwrap();
-        let planned = network.run(&input).unwrap();
-        let unplanned = network.run_unplanned(&input).unwrap();
-        assert_eq!(planned.as_slice(), unplanned.as_slice());
-    }
-
-    #[test]
     fn fault_injection_runs_through_session_fallback() {
-        // The arena executor must take the same graceful-degradation path
-        // as the legacy executor when a layer faults.
+        // A held session takes the graceful-degradation path run after run.
         let graph = build_model(ModelKind::TinyCnn);
         let input = Tensor::from_fn(&[1, 3, 8, 8], |i| ((i * 3) % 7) as f32 * 0.1);
         let expected = Engine::builder()
@@ -1112,8 +992,10 @@ mod tests {
             .load(graph)
             .unwrap();
         let mut session = network.session();
-        let out = session.run(&input).unwrap();
-        let r = orpheus_tensor::allclose(out, &expected, 1e-3, 1e-4);
-        assert!(r.ok, "session fallback disagrees: {r:?}");
+        for _ in 0..3 {
+            let out = session.run(&input).unwrap();
+            let r = orpheus_tensor::allclose(out, &expected, 1e-3, 1e-4);
+            assert!(r.ok, "session fallback disagrees: {r:?}");
+        }
     }
 }

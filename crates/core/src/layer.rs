@@ -26,23 +26,13 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// e.g. `"im2col-gemm(packed)"` or `"vendor:vnnl"`.
     fn implementation(&self) -> String;
 
-    /// Executes the layer.
+    /// Executes the layer into a preallocated output tensor of the planned
+    /// output dims — the trait's one execution method, so every layer
+    /// writes into the session's recycled arena buffers and none can
+    /// allocate its result behind the executor's back.
     ///
     /// `inputs` are the activation tensors in graph-input order (weights are
     /// layer state, not inputs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] when input shapes do not match the layer.
-    fn run(&self, inputs: &[&Tensor], pool: &ThreadPool) -> Result<Tensor, EngineError>;
-
-    /// Executes the layer into a preallocated output tensor of the planned
-    /// output dims.
-    ///
-    /// The arena executor calls this so steady-state inference writes into
-    /// recycled buffers. The default delegates to [`Layer::run`] and copies
-    /// the result (allocating); layers on the hot path override it to write
-    /// in place.
     ///
     /// # Errors
     ///
@@ -53,19 +43,7 @@ pub trait Layer: fmt::Debug + Send + Sync {
         inputs: &[&Tensor],
         output: &mut Tensor,
         pool: &ThreadPool,
-    ) -> Result<(), EngineError> {
-        let result = self.run(inputs, pool)?;
-        if result.dims() != output.dims() {
-            return Err(EngineError::Execution(format!(
-                "layer {:?} produced dims {:?} but the plan expects {:?}",
-                self.name(),
-                result.dims(),
-                output.dims()
-            )));
-        }
-        output.as_mut_slice().copy_from_slice(result.as_slice());
-        Ok(())
-    }
+    ) -> Result<(), EngineError>;
 
     /// Floating-point operations per invocation (0 when unknown or
     /// negligible); used by the profiler to report effective GFLOP/s.
@@ -77,7 +55,7 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// implementation fails at execution time, or `None` when the layer has
     /// no slower-but-safer twin (or already *is* the reference).
     ///
-    /// The executor calls this lazily — only after a `run` failure — so
+    /// The executor calls this lazily — only after a `run_into` failure — so
     /// supporting graceful degradation costs no memory on the happy path.
     fn reference_fallback(&self) -> Option<Box<dyn Layer>> {
         None
@@ -117,6 +95,18 @@ pub(crate) fn expect_inputs<'a>(
     Ok(inputs)
 }
 
+/// Test support: runs `layer` into a fresh zeroed tensor of `out_dims`.
+#[cfg(test)]
+pub(crate) fn run_layer(
+    layer: &dyn Layer,
+    inputs: &[&Tensor],
+    out_dims: &[usize],
+) -> Result<Tensor, EngineError> {
+    let mut out = Tensor::zeros(out_dims);
+    layer.run_into(inputs, &mut out, &ThreadPool::single())?;
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,9 +123,16 @@ mod tests {
         fn implementation(&self) -> String {
             "map".into()
         }
-        fn run(&self, inputs: &[&Tensor], _pool: &ThreadPool) -> Result<Tensor, EngineError> {
+        fn run_into(
+            &self,
+            inputs: &[&Tensor],
+            output: &mut Tensor,
+            _pool: &ThreadPool,
+        ) -> Result<(), EngineError> {
             let inputs = expect_inputs(self.name(), inputs, 1)?;
-            Ok(inputs[0].map(|x| x * 2.0))
+            copy_data_into(self.name(), inputs[0], output)?;
+            output.map_inplace(|x| x * 2.0);
+            Ok(())
         }
     }
 
@@ -143,16 +140,15 @@ mod tests {
     fn layer_trait_is_object_safe() {
         let layer: Box<dyn Layer> = Box::new(Doubler);
         let t = Tensor::ones(&[2]);
-        let out = layer.run(&[&t], &ThreadPool::single()).unwrap();
+        let out = run_layer(layer.as_ref(), &[&t], &[2]).unwrap();
         assert_eq!(out.as_slice(), &[2.0, 2.0]);
         assert_eq!(layer.flops(), 0);
     }
 
     #[test]
     fn arity_checked() {
-        let layer = Doubler;
         let t = Tensor::ones(&[1]);
-        assert!(layer.run(&[&t, &t], &ThreadPool::single()).is_err());
-        assert!(layer.run(&[], &ThreadPool::single()).is_err());
+        assert!(run_layer(&Doubler, &[&t, &t], &[1]).is_err());
+        assert!(run_layer(&Doubler, &[], &[1]).is_err());
     }
 }

@@ -94,13 +94,6 @@ impl Layer for VnnlConvLayer {
     fn implementation(&self) -> String {
         "vendor:vnnl".into()
     }
-    fn run(&self, inputs: &[&Tensor], _pool: &ThreadPool) -> Result<Tensor, EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        let mut out = Tensor::zeros(&self.conv.output_dims(inputs[0].dims()));
-        self.conv.run_into(inputs[0], &mut out)?;
-        self.epilogue.apply(&mut out);
-        Ok(out)
-    }
     fn run_into(
         &self,
         inputs: &[&Tensor],
@@ -178,13 +171,6 @@ impl Layer for VclConvLayer {
     fn implementation(&self) -> String {
         "vendor:vcl".into()
     }
-    fn run(&self, inputs: &[&Tensor], _pool: &ThreadPool) -> Result<Tensor, EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        let mut out = Tensor::zeros(&self.out_dims);
-        self.conv.run_into(inputs[0], &mut out)?;
-        self.epilogue.apply(&mut out);
-        Ok(out)
-    }
     fn run_into(
         &self,
         inputs: &[&Tensor],
@@ -212,6 +198,7 @@ impl Layer for VclConvLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::run_layer;
     use crate::layers::native::ConvLayer;
     use orpheus_ops::conv::ConvAlgorithm;
     use orpheus_tensor::allclose;
@@ -235,7 +222,7 @@ mod tests {
         )
         .unwrap();
         let input = Tensor::from_vec(pseudo(dims.iter().product(), 2), &dims).unwrap();
-        let pool = ThreadPool::single();
+        let out_dims = [1usize, 8, 8, 8];
 
         let native = ConvLayer::new(
             "n",
@@ -247,16 +234,16 @@ mod tests {
             (8, 8),
         )
         .unwrap();
-        let want = native.run(&[&input], &pool).unwrap();
+        let want = run_layer(&native, &[&input], &out_dims).unwrap();
 
         let vnnl = VnnlConvLayer::new("v1", params, &weight, None, None, (8, 8)).unwrap();
-        let got = vnnl.run(&[&input], &pool).unwrap();
+        let got = run_layer(&vnnl, &[&input], &out_dims).unwrap();
         assert!(allclose(&got, &want, 1e-4, 1e-5).ok);
         assert_eq!(vnnl.implementation(), "vendor:vnnl");
         assert_eq!(vnnl.flops(), native.flops());
 
         let vcl = VclConvLayer::new("v2", params, &weight, None, None, dims).unwrap();
-        let got = vcl.run(&[&input], &pool).unwrap();
+        let got = run_layer(&vcl, &[&input], &out_dims).unwrap();
         assert!(allclose(&got, &want, 1e-4, 1e-5).ok);
         assert_eq!(vcl.implementation(), "vendor:vcl");
     }
@@ -273,7 +260,7 @@ mod tests {
         .unwrap();
         let bias = Tensor::from_vec(vec![0.5, -0.5, 1.0, 0.0], &[4]).unwrap();
         let input = Tensor::from_vec(pseudo(dims.iter().product(), 4), &dims).unwrap();
-        let pool = ThreadPool::single();
+        let out_dims = [1usize, 4, 6, 6];
 
         let native = ConvLayer::new(
             "n",
@@ -285,7 +272,7 @@ mod tests {
             (6, 6),
         )
         .unwrap();
-        let want = native.run(&[&input], &pool).unwrap();
+        let want = run_layer(&native, &[&input], &out_dims).unwrap();
         let vnnl = VnnlConvLayer::new(
             "v",
             params,
@@ -295,7 +282,7 @@ mod tests {
             (6, 6),
         )
         .unwrap();
-        let got = vnnl.run(&[&input], &pool).unwrap();
+        let got = run_layer(&vnnl, &[&input], &out_dims).unwrap();
         let r = allclose(&got, &want, 1e-4, 1e-5);
         assert!(r.ok, "epilogue mismatch: {r:?}");
     }

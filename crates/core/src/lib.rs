@@ -16,21 +16,22 @@
 //!                                        │  (lowering + implementation selection)
 //!                                        ▼
 //!                                    Network (executable plan)
-//!                                        │  run / run_profiled
-//!                                        ▼
+//!                                        │  run / session / run_profiled
+//!                                        ▼  (all through Session — the one executor)
 //!                                  output + per-layer Profile
 //! ```
 //!
-//! * [`Layer`] — the first-class layer trait; implementations live in
-//!   [`layers`] and wrap the algorithm menagerie of `orpheus-ops` plus the
-//!   simulated vendor backends of `orpheus-backends`.
+//! * [`Layer`] — the first-class layer trait (one execution method,
+//!   `run_into`); implementations live in [`layers`] and wrap the algorithm
+//!   menagerie of `orpheus-ops` plus the simulated vendor backends of
+//!   `orpheus-backends`.
 //! * [`SelectionPolicy`] — how the engine picks an implementation per layer:
 //!   fixed, size-heuristic, or measure-and-choose auto-tuning.
 //! * [`Personality`] — framework personalities (`orpheus`, `tvm-sim`,
 //!   `pytorch-sim`, `darknet-sim`, `tflite-sim`) that configure the engine to
 //!   model the baselines of the paper's Figure 2 and Table I.
-//! * [`Engine`] / [`Network`] — model loading and execution with per-layer
-//!   profiling and liveness-based memory management.
+//! * [`Engine`] / [`Network`] — model loading (simplify, verify, lower,
+//!   plan and plan-check memory) and per-layer profiling.
 //! * [`Session`] — a reusable execution context over the load-time
 //!   [`MemoryPlan`]: steady-state inference runs entirely out of a
 //!   preallocated, liveness-recycled activation arena.

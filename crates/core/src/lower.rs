@@ -7,6 +7,7 @@
 //! a per-slot last-use table drives the executor's early tensor reclamation.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use orpheus_gemm::GemmKernel;
 use orpheus_graph::{infer_shapes, infer_shapes_with_batch, Graph, Node, OpKind};
@@ -24,6 +25,7 @@ use crate::layers::native::{
     SoftmaxLayer,
 };
 use crate::layers::third_party::{VclConvLayer, VnnlConvLayer};
+use crate::plan::plan_memory;
 use crate::selection::SelectionPolicy;
 
 /// One executable step: a layer plus its slot wiring.
@@ -51,24 +53,23 @@ impl std::fmt::Debug for PlanStep {
 }
 
 /// Per-batch-bucket shapes and memory: the symbolic leading dim made
-/// concrete at one batch size. `Plan::buckets[0]` is always the model's
-/// declared (base) batch; further entries double up to the engine's
-/// `max_batch`, each carrying its own slot dims and `MemoryPlan`.
+/// concrete at one batch size.
 #[derive(Debug)]
 pub(crate) struct BucketPlan {
     /// Absolute batch size this bucket serves.
     pub batch: usize,
     /// Inferred dims of each slot's value at this batch.
     pub slot_dims: Vec<Vec<usize>>,
-    /// Static buffer-reuse plan for this bucket; populated by
-    /// `plan::plan_memory_with` after any fault-injection wrapping.
-    pub memory: Option<crate::plan::MemoryPlan>,
+    /// Static buffer-reuse plan for this bucket.
+    pub memory: crate::plan::MemoryPlan,
 }
 
 /// A lowered, executable network plan.
 #[derive(Debug)]
 pub(crate) struct Plan {
-    pub steps: Vec<PlanStep>,
+    /// Shared so the no-reuse twin (`Plan::without_reuse`) runs the very
+    /// same layer objects over a different memory plan.
+    pub steps: Arc<[PlanStep]>,
     pub num_slots: usize,
     pub input_slot: usize,
     pub input_dims: Vec<usize>,
@@ -76,13 +77,9 @@ pub(crate) struct Plan {
     /// For each slot, the index of the last step reading it
     /// (`usize::MAX` = never read / graph output).
     pub last_use: Vec<usize>,
-    /// Inferred dims of each slot's value at the base batch (bucket 0).
-    pub slot_dims: Vec<Vec<usize>>,
-    /// Static buffer-reuse plan for the base bucket; populated by
-    /// `plan::plan_memory` after any fault-injection wrapping, before the
-    /// plan is frozen into a `Network`. Mirrors `buckets[0].memory`.
-    pub memory: Option<crate::plan::MemoryPlan>,
-    /// One entry per batch bucket, ascending by batch, starting at the base.
+    /// One entry per batch bucket, ascending by batch. Never empty:
+    /// `buckets[0]` is the model's declared (base) batch; further entries
+    /// double up to the engine's `max_batch`.
     pub buckets: Vec<BucketPlan>,
     /// The GEMM ISA this plan's kernels execute on, resolved at lowering:
     /// `"avx2+fma"` or `"scalar"` from runtime dispatch, `"scalar (forced)"`
@@ -98,57 +95,17 @@ impl Plan {
 
     /// The largest batch any bucket serves.
     pub fn max_bucket_batch(&self) -> usize {
-        self.buckets
-            .last()
-            .map(|b| b.batch)
-            .unwrap_or_else(|| self.input_dims.first().copied().unwrap_or(1))
-    }
-
-    /// Batch size bucket `idx` serves (base batch when out of range).
-    pub fn bucket_batch(&self, idx: usize) -> usize {
-        self.buckets
-            .get(idx)
-            .map(|b| b.batch)
-            .unwrap_or_else(|| self.input_dims.first().copied().unwrap_or(1))
-    }
-
-    /// Slot dims of bucket `idx`, falling back to the base dims.
-    pub fn bucket_slot_dims(&self, idx: usize) -> &[Vec<usize>] {
-        self.buckets
-            .get(idx)
-            .map(|b| b.slot_dims.as_slice())
-            .unwrap_or(self.slot_dims.as_slice())
-    }
-
-    /// Memory plan of bucket `idx`, falling back to the base plan.
-    pub fn bucket_memory(&self, idx: usize) -> &crate::plan::MemoryPlan {
-        self.buckets
-            .get(idx)
-            .and_then(|b| b.memory.as_ref())
-            .or(self.memory.as_ref())
-            .expect("Engine::load always attaches a memory plan")
-    }
-
-    /// The batch sizes the run surface accepts, ascending (the bucket
-    /// ladder, or just the base batch for plans without explicit buckets).
-    pub fn accepted_batches(&self) -> Vec<usize> {
-        let buckets = self.bucket_batches();
-        if buckets.is_empty() {
-            vec![self.input_dims.first().copied().unwrap_or(1)]
-        } else {
-            buckets
-        }
+        self.buckets[self.buckets.len() - 1].batch
     }
 
     /// The one dims-mismatch error every run surface shares
     /// ([`Session::run`](crate::Session::run) and its batch/into variants,
-    /// [`Network::run`](crate::Network::run), the legacy unplanned path):
-    /// lists every accepted input shape and the planned batch buckets, not
-    /// just the base shape.
+    /// [`Network::run`](crate::Network::run)): lists every accepted input
+    /// shape and the planned batch buckets, not just the base shape.
     pub fn dims_error(&self, dims: &[usize]) -> EngineError {
         let base = &self.input_dims;
-        let buckets = self.accepted_batches();
-        let max = buckets.last().copied().unwrap_or(1);
+        let buckets = self.bucket_batches();
+        let max = self.max_bucket_batch();
         let mut accepted = String::from("[N");
         for d in base.iter().skip(1) {
             accepted.push_str(&format!(", {d}"));
@@ -173,7 +130,9 @@ pub(crate) fn batch_buckets(base: usize, max: usize) -> Vec<usize> {
     orpheus_verify::batch_buckets(base, max)
 }
 
-/// Lowers a validated graph into a plan under the engine's configuration.
+/// Lowers a validated graph into a plan under the engine's configuration:
+/// one step per node, fault-injection wrapping, then one liveness-planned
+/// `MemoryPlan` per batch bucket over the final step list.
 pub(crate) fn lower(engine: &Engine, graph: &Graph) -> Result<Plan, EngineError> {
     graph.validate()?;
     let shapes = infer_shapes(graph)?;
@@ -229,6 +188,9 @@ pub(crate) fn lower(engine: &Engine, graph: &Graph) -> Result<Plan, EngineError>
             viewable,
         });
     }
+    // Wrap before planning: a wrapped view clears `viewable`, and aliasing
+    // decisions must match what actually runs.
+    let steps = engine.inject_faults(steps);
 
     let output_name = &graph.outputs()[0];
     let output_slot = *slot_of
@@ -307,20 +269,18 @@ pub(crate) fn lower(engine: &Engine, graph: &Graph) -> Result<Plan, EngineError>
         };
         buckets.push(BucketPlan {
             batch,
+            memory: plan_memory(&steps, &last_use, &dims),
             slot_dims: dims,
-            memory: None,
         });
     }
 
     Ok(Plan {
-        steps,
+        steps: steps.into(),
         num_slots,
         input_slot,
         input_dims,
         output_slot,
         last_use,
-        slot_dims,
-        memory: None,
         buckets,
         gemm_isa: if engine.forces_scalar() && orpheus_gemm::simd_available() {
             "scalar (forced)"
@@ -568,15 +528,13 @@ fn build_layer(
             &node.name,
             node.attrs.ints_or("axes", &[]),
             node.attrs.int_or("keepdims", 1) != 0,
+            shapes
+                .get(&node.inputs[0])
+                .map(Vec::len)
+                .ok_or_else(|| err("no inferred input shape for ReduceMean".into()))?,
         )),
         OpKind::Flatten => Box::new(FlattenLayer::new(&node.name)),
-        OpKind::Reshape => {
-            let target = shapes
-                .get(&node.outputs[0])
-                .cloned()
-                .ok_or_else(|| err("no inferred output shape for Reshape".into()))?;
-            Box::new(ReshapeLayer::new(&node.name, target))
-        }
+        OpKind::Reshape => Box::new(ReshapeLayer::new(&node.name)),
         OpKind::Identity | OpKind::Dropout => Box::new(IdentityLayer::new(&node.name)),
         OpKind::Custom(op) => {
             return Err(err(format!(

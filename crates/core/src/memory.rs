@@ -1,69 +1,53 @@
 //! Activation-memory accounting.
 //!
-//! The executor frees each intermediate tensor immediately after its last
-//! consumer runs (liveness computed at lowering time). On edge devices —
-//! the paper's deployment target — activation memory is often the binding
-//! constraint, so the executor reports what this policy achieved. The
-//! `memory_planner` bench compares it against keep-everything execution.
+//! On edge devices — the paper's deployment target — activation memory is
+//! often the binding constraint, so a profiled run reports what the static
+//! [`MemoryPlan`] keeps resident against what a keep-everything executor
+//! would hold (`examples/edge_memory` prints the comparison across the zoo).
 
-/// Statistics from one network run.
+use crate::plan::MemoryPlan;
+
+/// Activation-memory statistics of the plan a session runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {
-    /// Peak bytes of live activation tensors.
+    /// Bytes of activation storage a held session keeps resident: the
+    /// planned arena.
     pub peak_bytes: usize,
-    /// Sum of all activation bytes ever allocated during the run.
+    /// Sum of all activation value bytes one run produces — the footprint
+    /// without buffer reuse.
     pub total_allocated_bytes: usize,
-    /// Tensors dropped before the end of the run thanks to liveness
-    /// analysis.
+    /// Values whose buffer returns to the arena before the end of the run
+    /// thanks to liveness analysis.
     pub tensors_freed_early: usize,
 }
 
-/// Tracks live-tensor bytes during execution.
-#[derive(Debug, Default)]
-pub(crate) struct MemoryTracker {
-    current: usize,
-    stats: MemoryStats,
-}
-
-impl MemoryTracker {
-    pub(crate) fn new() -> Self {
-        MemoryTracker::default()
-    }
-
-    /// Records a tensor of `bytes` coming alive.
-    pub(crate) fn allocate(&mut self, bytes: usize) {
-        self.current += bytes;
-        self.stats.total_allocated_bytes += bytes;
-        self.stats.peak_bytes = self.stats.peak_bytes.max(self.current);
-    }
-
-    /// Records a tensor of `bytes` being dropped before run end.
-    pub(crate) fn free_early(&mut self, bytes: usize) {
-        self.current = self.current.saturating_sub(bytes);
-        self.stats.tensors_freed_early += 1;
-    }
-
-    /// Final statistics.
-    pub(crate) fn finish(self) -> MemoryStats {
-        self.stats
+impl MemoryStats {
+    pub(crate) fn from_plan(plan: &MemoryPlan) -> Self {
+        MemoryStats {
+            peak_bytes: plan.arena_bytes(),
+            total_allocated_bytes: plan.total_slot_bytes(),
+            tensors_freed_early: plan.reclaim_at.iter().map(Vec::len).sum(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
+    use orpheus_models::{build_model, ModelKind};
 
     #[test]
-    fn peak_tracks_high_water_mark() {
-        let mut t = MemoryTracker::new();
-        t.allocate(100);
-        t.allocate(50);
-        t.free_early(100);
-        t.allocate(20);
-        let stats = t.finish();
-        assert_eq!(stats.peak_bytes, 150);
-        assert_eq!(stats.total_allocated_bytes, 170);
-        assert_eq!(stats.tensors_freed_early, 1);
+    fn stats_describe_what_a_held_session_keeps_resident() {
+        let network = Engine::builder()
+            .build()
+            .unwrap()
+            .load(build_model(ModelKind::TinyCnn))
+            .unwrap();
+        let stats = MemoryStats::from_plan(network.memory_plan());
+        assert_eq!(stats.peak_bytes, network.session().arena_bytes());
+        assert!(stats.peak_bytes <= stats.total_allocated_bytes);
+        assert!(stats.tensors_freed_early > 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Once a graph is lowered (and optionally fault-wrapped) the slot wiring is
 //! frozen, so buffer lifetimes are known exactly: a slot's value is
 //! materialized when its producing step runs and last read at its final
-//! consumer. [`plan_memory`] turns those intervals into a [`MemoryPlan`] via
+//! consumer. `plan_memory` turns those intervals into a [`MemoryPlan`] via
 //! the shared interval planner in `orpheus-verify` — the same algorithm the
 //! linter uses for its static prediction — so disjoint lifetimes share one
 //! recycled buffer and pure view steps (Flatten/Reshape/Identity) alias
@@ -12,10 +12,16 @@
 //! The plan is computed once at `Engine::load`; every
 //! [`Session`](crate::Session) then preallocates the planned buffers and
 //! runs steady-state inference without touching the heap.
+//!
+//! `plan_memory_no_reuse` is the degenerate twin — one buffer per slot, no
+//! view-moves — that turns the same executor into the oracle arena reuse is
+//! proven bit-identical against.
+
+use std::sync::Arc;
 
 use orpheus_verify::{plan_buffers, BucketSpec, PlanSpec, SlotInterval, StepSpec};
 
-use crate::lower::Plan;
+use crate::lower::{BucketPlan, Plan, PlanStep};
 
 const BYTES_PER_ELEMENT: usize = 4;
 
@@ -84,35 +90,36 @@ impl MemoryPlan {
     }
 }
 
-/// Computes the buffer-reuse plan for a lowered `Plan` at its base batch.
+/// Element count of a value with these dims (a rank-0 scalar holds one).
+pub(crate) fn elems(dims: &[usize]) -> usize {
+    dims.iter()
+        .product::<usize>()
+        .max(usize::from(dims.is_empty()))
+}
+
+/// Computes the buffer-reuse plan for a lowered step list at one batch
+/// bucket's per-slot dims. Liveness (step order, last uses, viewability) is
+/// batch-independent; only the slot sizes change, so each bucket reuses the
+/// same intervals over different extents.
 ///
 /// Call this after fault-injection wrapping: wrapped layers clear the
 /// `viewable` flag, and aliasing decisions must match what actually runs.
-pub(crate) fn plan_memory(plan: &Plan) -> MemoryPlan {
-    plan_memory_with(plan, &plan.slot_dims)
-}
-
-/// Computes the buffer-reuse plan for a lowered `Plan` with an explicit set
-/// of per-slot dims — the per-batch-bucket entry point. Liveness (step
-/// order, last uses, viewability) is batch-independent; only the slot sizes
-/// change, so each bucket reuses the same intervals over different extents.
-pub(crate) fn plan_memory_with(plan: &Plan, slot_dims: &[Vec<usize>]) -> MemoryPlan {
-    let n_slots = plan.num_slots;
-    let elems_of = |slot: usize| -> usize {
-        slot_dims[slot]
-            .iter()
-            .product::<usize>()
-            .max(usize::from(slot_dims[slot].is_empty()))
-    };
+pub(crate) fn plan_memory(
+    steps: &[PlanStep],
+    last_use: &[usize],
+    slot_dims: &[Vec<usize>],
+) -> MemoryPlan {
+    let n_slots = last_use.len();
+    let elems_of = |slot: usize| elems(&slot_dims[slot]);
 
     // Slot definition step: the input exists before step 0; step i defines
     // its output at time i + 1 (read times are consumer step + 1).
     let mut def_time = vec![0usize; n_slots];
-    for (i, step) in plan.steps.iter().enumerate() {
+    for (i, step) in steps.iter().enumerate() {
         def_time[step.output] = i + 1;
     }
     let read_time = |slot: usize| -> usize {
-        match plan.last_use[slot] {
+        match last_use[slot] {
             usize::MAX => usize::MAX,
             step => step + 1,
         }
@@ -122,11 +129,11 @@ pub(crate) fn plan_memory_with(plan: &Plan, slot_dims: &[Vec<usize>]) -> MemoryP
     // hand its input buffer to the output. Union the two slots so the
     // planner sees one merged lifetime.
     let mut rep: Vec<usize> = (0..n_slots).collect();
-    let mut view_move = vec![false; plan.steps.len()];
-    for (i, step) in plan.steps.iter().enumerate() {
+    let mut view_move = vec![false; steps.len()];
+    for (i, step) in steps.iter().enumerate() {
         if step.viewable
             && step.inputs.len() == 1
-            && plan.last_use[step.inputs[0]] == i
+            && last_use[step.inputs[0]] == i
             && elems_of(step.inputs[0]) == elems_of(step.output)
         {
             view_move[i] = true;
@@ -167,13 +174,12 @@ pub(crate) fn plan_memory_with(plan: &Plan, slot_dims: &[Vec<usize>]) -> MemoryP
     // Reclaim lists: after step i, return every buffer whose slot was last
     // read there — except a view-move input, whose buffer transfers to the
     // output instead of going back to the arena.
-    let mut reclaim_at: Vec<Vec<usize>> = vec![Vec::new(); plan.steps.len()];
-    for slot in 0..n_slots {
-        let step = plan.last_use[slot];
+    let mut reclaim_at: Vec<Vec<usize>> = vec![Vec::new(); steps.len()];
+    for (slot, &step) in last_use.iter().enumerate() {
         if step == usize::MAX {
             continue;
         }
-        if view_move[step] && plan.steps[step].inputs == [slot] {
+        if view_move[step] && steps[step].inputs == [slot] {
             continue;
         }
         reclaim_at[step].push(slot);
@@ -191,61 +197,88 @@ pub(crate) fn plan_memory_with(plan: &Plan, slot_dims: &[Vec<usize>]) -> MemoryP
     }
 }
 
+/// The degenerate plan for the same steps: every slot owns a private buffer
+/// of exactly its extent, no step executes as a view-move, and each slot is
+/// reclaimed after its last reader. A session over it is the no-reuse
+/// reference executor, with no executor code of its own.
+pub(crate) fn plan_memory_no_reuse(
+    num_steps: usize,
+    last_use: &[usize],
+    slot_dims: &[Vec<usize>],
+) -> MemoryPlan {
+    let buffer_elems: Vec<usize> = slot_dims.iter().map(|d| elems(d)).collect();
+    let mut reclaim_at: Vec<Vec<usize>> = vec![Vec::new(); num_steps];
+    for (slot, &step) in last_use.iter().enumerate() {
+        if step != usize::MAX {
+            reclaim_at[step].push(slot);
+        }
+    }
+    MemoryPlan {
+        buffer_of: (0..slot_dims.len()).collect(),
+        total_slot_bytes: buffer_elems.iter().sum::<usize>() * BYTES_PER_ELEMENT,
+        buffer_elems,
+        view_move: vec![false; num_steps],
+        reclaim_at,
+        aliased_views: 0,
+    }
+}
+
+impl Plan {
+    /// The same program over [`plan_memory_no_reuse`] at every bucket.
+    pub(crate) fn without_reuse(&self) -> Plan {
+        Plan {
+            steps: Arc::clone(&self.steps),
+            num_slots: self.num_slots,
+            input_slot: self.input_slot,
+            input_dims: self.input_dims.clone(),
+            output_slot: self.output_slot,
+            last_use: self.last_use.clone(),
+            buckets: self
+                .buckets
+                .iter()
+                .map(|b| BucketPlan {
+                    batch: b.batch,
+                    slot_dims: b.slot_dims.clone(),
+                    memory: plan_memory_no_reuse(self.steps.len(), &self.last_use, &b.slot_dims),
+                })
+                .collect(),
+            gemm_isa: self.gemm_isa,
+        }
+    }
+}
+
 /// Projects a lowered `Plan` (plus its per-bucket memory plans) into the
 /// backend-neutral [`PlanSpec`] the static plan checker consumes. Layer
 /// boxes, dims, and fault wrappers are erased; only the slot wiring, element
 /// counts, and arena schedule survive — exactly what soundness depends on.
 pub(crate) fn plan_spec(model: &str, plan: &Plan) -> PlanSpec {
-    let elems = |dims: &[usize]| -> usize {
-        dims.iter()
-            .product::<usize>()
-            .max(usize::from(dims.is_empty()))
-    };
-    let steps: Vec<StepSpec> = plan
-        .steps
-        .iter()
-        .map(|s| StepSpec {
-            name: s.layer.name().to_string(),
-            inputs: s.inputs.clone(),
-            output: s.output,
-        })
-        .collect();
-
-    let bucket_spec = |batch: usize, slot_dims: &[Vec<usize>], memory: &MemoryPlan| BucketSpec {
-        batch,
-        slot_elems: slot_dims.iter().map(|d| elems(d)).collect(),
-        buffer_of: memory.buffer_of.clone(),
-        buffer_elems: memory.buffer_elems.clone(),
-        view_move: memory.view_move.clone(),
-        reclaim_at: memory.reclaim_at.clone(),
-    };
-
-    let mut buckets: Vec<BucketSpec> = plan
-        .buckets
-        .iter()
-        .filter_map(|b| {
-            b.memory
-                .as_ref()
-                .map(|m| bucket_spec(b.batch, &b.slot_dims, m))
-        })
-        .collect();
-    if buckets.is_empty() {
-        // Pre-bucket plans (or synthetic test plans) carry one memory plan
-        // at the base batch.
-        if let Some(m) = plan.memory.as_ref() {
-            let base = plan.input_dims.first().copied().unwrap_or(1).max(1);
-            buckets.push(bucket_spec(base, &plan.slot_dims, m));
-        }
-    }
-
     PlanSpec {
         model: model.to_string(),
         num_slots: plan.num_slots,
         input_slot: plan.input_slot,
         output_slot: plan.output_slot,
-        steps,
+        steps: plan
+            .steps
+            .iter()
+            .map(|s| StepSpec {
+                name: s.layer.name().to_string(),
+                inputs: s.inputs.clone(),
+                output: s.output,
+            })
+            .collect(),
         last_use: plan.last_use.clone(),
-        buckets,
+        buckets: plan
+            .buckets
+            .iter()
+            .map(|b| BucketSpec {
+                batch: b.batch,
+                slot_elems: b.slot_dims.iter().map(|d| elems(d)).collect(),
+                buffer_of: b.memory.buffer_of.clone(),
+                buffer_elems: b.memory.buffer_elems.clone(),
+                view_move: b.memory.view_move.clone(),
+                reclaim_at: b.memory.reclaim_at.clone(),
+            })
+            .collect(),
     }
 }
 
@@ -253,7 +286,6 @@ pub(crate) fn plan_spec(model: &str, plan: &Plan) -> PlanSpec {
 mod tests {
     use super::*;
     use crate::layer::Layer;
-    use crate::lower::PlanStep;
     use orpheus_tensor::Tensor;
     use orpheus_threads::ThreadPool;
 
@@ -269,12 +301,13 @@ mod tests {
         fn implementation(&self) -> String {
             "nop".into()
         }
-        fn run(
+        fn run_into(
             &self,
             inputs: &[&Tensor],
+            output: &mut Tensor,
             _pool: &ThreadPool,
-        ) -> Result<Tensor, crate::EngineError> {
-            Ok(inputs[0].clone())
+        ) -> Result<(), crate::EngineError> {
+            crate::layer::copy_data_into(self.0, inputs[0], output)
         }
     }
 
@@ -287,25 +320,38 @@ mod tests {
         }
     }
 
-    /// chain 0 -> 1 -> 2: slots 0 and 2 can share once 0 dies.
-    fn chain_plan() -> Plan {
+    /// A one-bucket plan over `steps`, every slot holding `[1, 4]`, the
+    /// last slot being the output.
+    fn fixture(steps: Vec<PlanStep>, last_use: Vec<usize>) -> Plan {
+        let slot_dims = vec![vec![1, 4]; last_use.len()];
         Plan {
-            steps: vec![step(&[0], 1, false), step(&[1], 2, false)],
-            num_slots: 3,
+            num_slots: last_use.len(),
             input_slot: 0,
             input_dims: vec![1, 4],
-            output_slot: 2,
-            last_use: vec![0, 1, usize::MAX],
-            slot_dims: vec![vec![1, 4], vec![1, 4], vec![1, 4]],
-            memory: None,
-            buckets: Vec::new(),
+            output_slot: last_use.len() - 1,
+            buckets: vec![BucketPlan {
+                batch: 1,
+                memory: plan_memory(&steps, &last_use, &slot_dims),
+                slot_dims,
+            }],
+            steps: steps.into(),
+            last_use,
             gemm_isa: "scalar",
         }
     }
 
+    /// chain 0 -> 1 -> 2: slots 0 and 2 can share once 0 dies.
+    fn chain_plan(view_tail: bool) -> Plan {
+        fixture(
+            vec![step(&[0], 1, false), step(&[1], 2, view_tail)],
+            vec![0, 1, usize::MAX],
+        )
+    }
+
     #[test]
     fn chain_reuses_buffers() {
-        let mp = plan_memory(&chain_plan());
+        let plan = chain_plan(false);
+        let mp = &plan.buckets[0].memory;
         assert_eq!(mp.num_buffers(), 2);
         assert_eq!(mp.buffer_of[0], mp.buffer_of[2]);
         assert_ne!(mp.buffer_of[0], mp.buffer_of[1]);
@@ -317,9 +363,8 @@ mod tests {
 
     #[test]
     fn dying_view_input_aliases() {
-        let mut plan = chain_plan();
-        plan.steps[1].viewable = true;
-        let mp = plan_memory(&plan);
+        let plan = chain_plan(true);
+        let mp = &plan.buckets[0].memory;
         assert!(mp.view_move[1]);
         assert_eq!(mp.aliased_views(), 1);
         // slots 1 and 2 share one buffer (the move), and slot 0 can still
@@ -332,32 +377,39 @@ mod tests {
     #[test]
     fn live_view_input_copies() {
         // slot 1 is read again by step 2, so the view at step 1 cannot move.
-        let plan = Plan {
-            steps: vec![
+        let plan = fixture(
+            vec![
                 step(&[0], 1, false),
                 step(&[1], 2, true),
                 step(&[1, 2], 3, false),
             ],
-            num_slots: 4,
-            input_slot: 0,
-            input_dims: vec![1, 4],
-            output_slot: 3,
-            last_use: vec![0, 2, 2, usize::MAX],
-            slot_dims: vec![vec![1, 4]; 4],
-            memory: None,
-            buckets: Vec::new(),
-            gemm_isa: "scalar",
-        };
-        let mp = plan_memory(&plan);
+            vec![0, 2, 2, usize::MAX],
+        );
+        let mp = &plan.buckets[0].memory;
         assert!(!mp.view_move[1]);
         assert_eq!(mp.aliased_views(), 0);
         assert_ne!(mp.buffer_of[1], mp.buffer_of[2]);
     }
 
     #[test]
+    fn no_reuse_twin_owns_one_buffer_per_slot_and_verifies_clean() {
+        let planned = chain_plan(true);
+        let twin = planned.without_reuse();
+        let mp = &twin.buckets[0].memory;
+        assert_eq!(mp.buffer_of, vec![0, 1, 2]);
+        assert_eq!(mp.arena_bytes(), mp.total_slot_bytes());
+        assert_eq!(mp.aliased_views(), 0);
+        // Nothing moves, so the view's input is reclaimed like any other.
+        assert_eq!(mp.reclaim_at, vec![vec![0], vec![1]]);
+        for plan in [&planned, &twin] {
+            let report = orpheus_verify::check_plan(&plan_spec("chain", plan));
+            assert!(report.is_clean(), "{}", report.render());
+        }
+    }
+
+    #[test]
     fn summary_mentions_buffers() {
-        let mp = plan_memory(&chain_plan());
-        let s = mp.summary();
+        let s = chain_plan(false).buckets[0].memory.summary();
         assert!(s.contains("2 buffer(s)"), "{s}");
         assert!(s.contains("reuse"), "{s}");
     }

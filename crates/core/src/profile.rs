@@ -2,8 +2,8 @@
 //!
 //! The paper's evaluation workflow — "infrastructure to run multiple
 //! inference experiments, evaluating full networks, and individual layers" —
-//! needs per-layer timings; the executor produces one [`LayerTiming`] per
-//! plan step on profiled runs.
+//! needs per-layer timings; the session executor produces one
+//! [`LayerTiming`] per plan step on profiled runs.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -55,9 +55,9 @@ pub struct Profile {
 impl Profile {
     /// Rebuilds a per-layer profile from a recorded trace (see
     /// `orpheus-observe`): every `"layer"`-category span becomes one
-    /// [`LayerTiming`], the enclosing `"run"` span (when present) provides
-    /// the end-to-end total. Memory statistics are not recoverable from a
-    /// trace and are left at their defaults.
+    /// [`LayerTiming`], the enclosing session `"run"` span (when present)
+    /// provides the end-to-end total. Memory statistics are not recoverable
+    /// from a trace and are left at their defaults.
     pub fn from_trace(trace: &Trace) -> Profile {
         let mut timings: Vec<(f64, LayerTiming)> = trace
             .by_category("layer")
@@ -78,7 +78,7 @@ impl Profile {
             .collect();
         timings.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite timestamps"));
         let total = trace
-            .by_category("engine")
+            .by_category("session")
             .filter(|s| s.name == "run")
             .map(|s| Duration::from_secs_f64(s.dur_us / 1e6))
             .max()
@@ -330,7 +330,7 @@ mod tests {
                     id: 1,
                     parent: None,
                     name: "run".into(),
-                    category: "engine",
+                    category: "session",
                     start_us: 0.0,
                     dur_us: 120.0,
                     tid: 0,
@@ -346,6 +346,8 @@ mod tests {
         assert_eq!(p.timings[1].implementation, "spatial-pack");
         assert_eq!(p.timings[1].flops, 2_000_000);
         assert_eq!(p.timings[0].implementation, "?");
+        // The session run span (120 us) outlasts its layer children (90 us):
+        // the total keeps the executor overhead between layers.
         assert_eq!(p.total, Duration::from_micros(120));
         assert_eq!(p.total_flops(), 2_000_000);
     }

@@ -23,7 +23,8 @@ use orpheus_threads::ThreadPool;
 use crate::error::EngineError;
 use crate::layer::Layer;
 use crate::lower::Plan;
-use crate::plan::MemoryPlan;
+use crate::plan::{elems, MemoryPlan};
+use crate::profile::LayerTiming;
 
 /// Steps with at most this many inputs borrow their input refs from a stack
 /// array; wider fan-in (absent from the model zoo) falls back to a `Vec`.
@@ -40,6 +41,22 @@ struct BucketState {
     shapes: Vec<Option<Shape>>,
     /// Element count of each slot's value at this bucket's batch.
     slot_elems: Vec<usize>,
+}
+
+impl BucketState {
+    /// Takes the planned buffer for `slot` out of the arena, zeroed to the
+    /// slot's element count, together with its cached shape (`dims`).
+    fn materialize(&mut self, slot: usize, buffer: usize, dims: &[usize]) -> (Shape, Vec<f32>) {
+        let mut data = std::mem::take(&mut self.arena[buffer]);
+        data.clear();
+        data.resize(self.slot_elems[slot], 0.0);
+        let shape = self.shapes[slot]
+            .take()
+            // Only reachable when a prior failed run lost a shape to an
+            // error path; rebuilding allocates, steady state never does.
+            .unwrap_or_else(|| Shape::new(dims));
+        (shape, data)
+    }
 }
 
 /// A reusable, preallocated execution context for one [`Network`].
@@ -62,8 +79,7 @@ pub struct Session {
     model: String,
     /// Current tensor per slot (`None` = value dead, storage in the arena).
     slots: Vec<Option<Tensor>>,
-    /// One storage state per batch bucket (`plan.buckets` order; a single
-    /// base entry when the plan carries no explicit buckets).
+    /// One storage state per batch bucket (`plan.buckets` order).
     states: Vec<BucketState>,
     /// Index of the bucket the slots/arena currently belong to.
     active: usize,
@@ -86,11 +102,12 @@ impl Session {
         model: String,
         prefer_reference: bool,
     ) -> Session {
-        let buckets = plan.buckets.len().max(1);
-        let states: Vec<BucketState> = (0..buckets)
-            .map(|idx| {
-                let dims = plan.bucket_slot_dims(idx);
-                let mp = plan.bucket_memory(idx);
+        let states: Vec<BucketState> = plan
+            .buckets
+            .iter()
+            .enumerate()
+            .map(|(idx, bucket)| {
+                let (dims, mp) = (&bucket.slot_dims, &bucket.memory);
                 // The base bucket preallocates its planned capacity; larger
                 // buckets start empty and grow to plan on first use, so an
                 // 8-bucket session does not hold eight resident arenas for
@@ -104,10 +121,7 @@ impl Session {
                     mp.buffer_elems.iter().map(|_| Vec::new()).collect()
                 };
                 let shapes: Vec<Option<Shape>> = dims.iter().map(|d| Some(Shape::new(d))).collect();
-                let slot_elems: Vec<usize> = dims
-                    .iter()
-                    .map(|d| d.iter().product::<usize>().max(usize::from(d.is_empty())))
-                    .collect();
+                let slot_elems: Vec<usize> = dims.iter().map(|d| elems(d)).collect();
                 BucketState {
                     arena,
                     shapes,
@@ -116,7 +130,7 @@ impl Session {
             })
             .collect();
         if observe::enabled() {
-            let mp = plan.bucket_memory(0);
+            let mp = &plan.buckets[0].memory;
             observe::gauge_set("session.arena.bytes", mp.arena_bytes() as f64);
             observe::gauge_set("session.arena.buffers", mp.num_buffers() as f64);
             observe::gauge_set("session.arena.reuse_ratio", mp.reuse_ratio());
@@ -162,7 +176,7 @@ impl Session {
 
     /// The batch sizes this session serves from its plan, ascending.
     pub fn batch_buckets(&self) -> Vec<usize> {
-        self.plan.accepted_batches()
+        self.plan.bucket_batches()
     }
 
     /// A read-only, render-ready description of the execution plan this
@@ -195,7 +209,7 @@ impl Session {
     }
 
     fn memory_plan(&self) -> &MemoryPlan {
-        self.plan.bucket_memory(self.active)
+        &self.plan.buckets[self.active].memory
     }
 
     /// Re-arms the session after a fault without replanning: every live
@@ -210,7 +224,7 @@ impl Session {
     /// re-growing at most the one lost buffer, never recomputing the plan.
     pub fn reset(&mut self) {
         let plan = Arc::clone(&self.plan);
-        let mp = plan.bucket_memory(self.active);
+        let mp = &plan.buckets[self.active].memory;
         let state = &mut self.states[self.active];
         for slot in 0..plan.num_slots {
             if let Some(t) = self.slots[slot].take() {
@@ -239,7 +253,7 @@ impl Session {
     /// resident capacity to the static plan, keeping `measured <= planned`
     /// in every bucket. No-op (and allocation-free) once provisioned.
     fn provision_active_arena(&mut self) {
-        let mp = self.plan.bucket_memory(self.active);
+        let mp = &self.plan.buckets[self.active].memory;
         let state = &mut self.states[self.active];
         for (data, &elems) in state.arena.iter_mut().zip(&mp.buffer_elems) {
             if data.capacity() < elems {
@@ -267,9 +281,6 @@ impl Session {
             {
                 return Ok((idx, batch));
             }
-            if self.plan.buckets.is_empty() && dims == base.as_slice() {
-                return Ok((0, batch));
-            }
         }
         Err(self.dims_error(dims))
     }
@@ -279,21 +290,6 @@ impl Session {
     /// and the planned batch buckets, not just the base shape.
     fn dims_error(&self, dims: &[usize]) -> EngineError {
         self.plan.dims_error(dims)
-    }
-
-    /// Takes the planned buffer for `slot` out of the active arena, zeroed
-    /// to the slot's element count, together with its cached shape.
-    fn materialize(&mut self, slot: usize, buffer: usize) -> (Shape, Vec<f32>) {
-        let state = &mut self.states[self.active];
-        let mut data = std::mem::take(&mut state.arena[buffer]);
-        data.clear();
-        data.resize(state.slot_elems[slot], 0.0);
-        let shape = state.shapes[slot]
-            .take()
-            // Only reachable when a prior failed run lost a shape to an
-            // error path; rebuilding allocates, steady state never does.
-            .unwrap_or_else(|| Shape::new(&self.plan.bucket_slot_dims(self.active)[slot]));
-        (shape, data)
     }
 
     /// Runs one inference, returning a reference to the output tensor.
@@ -312,6 +308,16 @@ impl Session {
     /// bucket of the loaded model (the message lists every accepted shape),
     /// or if a layer fails and has no reference fallback.
     pub fn run(&mut self, input: &Tensor) -> Result<&Tensor, EngineError> {
+        self.run_with(input, None)
+    }
+
+    /// [`Session::run`], additionally pushing one [`LayerTiming`] per plan
+    /// step into `timings` when given (the `Network::run_profiled` sink).
+    pub(crate) fn run_with(
+        &mut self,
+        input: &Tensor,
+        timings: Option<&mut Vec<LayerTiming>>,
+    ) -> Result<&Tensor, EngineError> {
         let (bucket, batch) = match self.select_bucket(input.dims()) {
             Ok(sel) => sel,
             Err(e) => {
@@ -320,13 +326,13 @@ impl Session {
             }
         };
         self.switch_bucket(bucket);
-        if let Err(e) = self.run_inner(input) {
+        if let Err(e) = self.run_inner(input, timings) {
             // Error paths are cold: stamp the flight recorder so a post-hoc
             // dump explains what the session was doing when it failed.
             observe::flight_record("session", "run.error", format!("{}: {e}", self.model));
             return Err(e);
         }
-        let bucket_batch = self.plan.bucket_batch(bucket);
+        let bucket_batch = self.plan.buckets[bucket].batch;
         if batch == bucket_batch {
             return self.slots[self.plan.output_slot]
                 .as_ref()
@@ -439,7 +445,7 @@ impl Session {
             }
             return Ok(outputs);
         }
-        let out_dims = self.plan.slot_dims[self.plan.output_slot].clone();
+        let out_dims = self.plan.buckets[0].slot_dims[self.plan.output_slot].clone();
         let per_input: usize = base_dims.iter().product::<usize>().max(1);
         let mut start = 0;
         for chunk in inputs.chunks(per_chunk) {
@@ -488,9 +494,15 @@ impl Session {
         Ok(outputs)
     }
 
-    fn run_inner(&mut self, input: &Tensor) -> Result<(), EngineError> {
+    /// The one loop in the workspace that executes plan steps.
+    fn run_inner(
+        &mut self,
+        input: &Tensor,
+        mut timings: Option<&mut Vec<LayerTiming>>,
+    ) -> Result<(), EngineError> {
         let plan = Arc::clone(&self.plan);
-        let mp = plan.bucket_memory(self.active);
+        let bucket = &plan.buckets[self.active];
+        let mp = &bucket.memory;
         let mut run_span = observe::span("run", "session");
         run_span.attr("model", self.model.as_str());
         let start = Instant::now();
@@ -511,7 +523,7 @@ impl Session {
             }
             let shape = state.shapes[slot]
                 .take()
-                .unwrap_or_else(|| Shape::new(&plan.bucket_slot_dims(self.active)[slot]));
+                .unwrap_or_else(|| Shape::new(&bucket.slot_dims[slot]));
             self.slots[slot] = Some(
                 Tensor::from_parts(shape, data)
                     .map_err(|e| EngineError::Execution(e.to_string()))?,
@@ -519,6 +531,14 @@ impl Session {
         }
 
         for (step_idx, step) in plan.steps.iter().enumerate() {
+            // Reference-preferring sessions (the circuit breaker's degraded
+            // path) swap in the prebuilt reference twin.
+            let layer: &dyn Layer = self
+                .reference
+                .get(step_idx)
+                .and_then(|l| l.as_deref())
+                .unwrap_or(step.layer.as_ref());
+            let layer_start = timings.as_ref().map(|_| Instant::now());
             if mp.view_move[step_idx] {
                 // Pure view over a dying value: move the buffer, skip the
                 // layer entirely.
@@ -532,27 +552,21 @@ impl Session {
                 let (shape_in, data) = src.into_parts();
                 let state = &mut self.states[self.active];
                 state.shapes[step.inputs[0]] = Some(shape_in);
-                let shape_out = state.shapes[step.output].take().unwrap_or_else(|| {
-                    Shape::new(&plan.bucket_slot_dims(self.active)[step.output])
-                });
+                let shape_out = state.shapes[step.output]
+                    .take()
+                    .unwrap_or_else(|| Shape::new(&bucket.slot_dims[step.output]));
                 self.slots[step.output] = Some(
                     Tensor::from_parts(shape_out, data)
                         .map_err(|e| EngineError::Execution(e.to_string()))?,
                 );
-                continue;
-            }
-
-            let (shape, data) = self.materialize(step.output, mp.buffer_of[step.output]);
-            let mut out = Tensor::from_parts(shape, data)
-                .map_err(|e| EngineError::Execution(e.to_string()))?;
-            {
-                // Reference-preferring sessions (the circuit breaker's
-                // degraded path) swap in the prebuilt reference twin.
-                let layer: &dyn Layer = self
-                    .reference
-                    .get(step_idx)
-                    .and_then(|l| l.as_deref())
-                    .unwrap_or(step.layer.as_ref());
+            } else {
+                let (shape, data) = self.states[self.active].materialize(
+                    step.output,
+                    mp.buffer_of[step.output],
+                    &bucket.slot_dims[step.output],
+                );
+                let mut out = Tensor::from_parts(shape, data)
+                    .map_err(|e| EngineError::Execution(e.to_string()))?;
                 let mut stack: [&Tensor; MAX_FAN_IN] = [&self.empty; MAX_FAN_IN];
                 let mut heap: Vec<&Tensor> = Vec::new();
                 let inputs: &[&Tensor] = if step.inputs.len() <= MAX_FAN_IN {
@@ -585,12 +599,11 @@ impl Session {
                     layer_span.attr("flops", layer.flops());
                 }
                 if let Err(primary) = layer.run_into(inputs, &mut out, &self.pool) {
-                    // Graceful degradation, mirroring the legacy executor:
-                    // retry once on the reference implementation (into a
-                    // re-zeroed buffer), surfacing the original error if even
-                    // that cannot run. This path only runs on a fault, so the
-                    // flight-recorder stamp does not touch the zero-alloc
-                    // steady state.
+                    // Graceful degradation: retry once on the reference
+                    // implementation (into a re-zeroed buffer), surfacing the
+                    // original error if even that cannot run. This path only
+                    // runs on a fault, so the flight-recorder stamp does not
+                    // touch the zero-alloc steady state.
                     let Some(fallback) = layer.reference_fallback() else {
                         observe::flight_record(
                             "selection",
@@ -620,8 +633,8 @@ impl Session {
                         ),
                     );
                 }
+                self.slots[step.output] = Some(out);
             }
-            self.slots[step.output] = Some(out);
 
             // Liveness-driven recycling: every slot last read by this step
             // hands its storage back to the arena.
@@ -632,6 +645,15 @@ impl Session {
                     state.shapes[slot] = Some(shape);
                     state.arena[mp.buffer_of[slot]] = data;
                 }
+            }
+            if let (Some(sink), Some(layer_start)) = (timings.as_deref_mut(), layer_start) {
+                sink.push(LayerTiming {
+                    name: layer.name().to_string(),
+                    op: layer.op_name().to_string(),
+                    implementation: layer.implementation(),
+                    duration: layer_start.elapsed(),
+                    flops: layer.flops(),
+                });
             }
         }
 
@@ -662,15 +684,21 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_one_shot_run() {
-        let network = tiny_network();
-        let input = Tensor::from_fn(&[1, 3, 8, 8], |i| ((i * 5) % 13) as f32 * 0.1);
-        let expected = network.run_unplanned(&input).unwrap();
-        let mut session = network.session();
-        for _ in 0..3 {
-            let got = session.run(&input).unwrap();
-            assert_eq!(got.dims(), expected.dims());
-            assert_eq!(got.as_slice(), expected.as_slice(), "bit-identity broken");
+    fn planned_session_matches_no_reuse_session_at_every_rung() {
+        // Same executor, same layers; only the memory plan differs, so any
+        // divergence is an arena-reuse or view-aliasing bug.
+        let network = batched_network(4);
+        let mut planned = network.session();
+        let mut oracle = network.no_reuse_session().unwrap();
+        assert!(oracle.arena_bytes() > planned.arena_bytes());
+        for n in network.batch_buckets() {
+            let input = batch_input(n, n * 17);
+            for _ in 0..3 {
+                let want = oracle.run(&input).unwrap();
+                let got = planned.run(&input).unwrap();
+                assert_eq!(got.dims(), want.dims());
+                assert_eq!(got.as_slice(), want.as_slice(), "bit-identity broken");
+            }
         }
     }
 
@@ -703,10 +731,7 @@ mod tests {
         let network = tiny_network();
         let session = network.session();
         assert!(session.arena_bytes() > 0);
-        assert_eq!(
-            session.arena_bytes(),
-            network.memory_plan().map(|m| m.arena_bytes()).unwrap_or(0)
-        );
+        assert_eq!(session.arena_bytes(), network.memory_plan().arena_bytes());
     }
 
     fn batched_network(max_batch: usize) -> crate::Network {

@@ -68,14 +68,13 @@ impl PlanSummary {
                 flops: step.layer.flops(),
             })
             .collect();
-        let batch_buckets = (0..plan.buckets.len().max(1))
-            .map(|idx| {
-                let memory = plan.bucket_memory(idx);
-                BucketSummary {
-                    batch: plan.bucket_batch(idx),
-                    arena_bytes: memory.arena_bytes(),
-                    buffers: memory.num_buffers(),
-                }
+        let batch_buckets = plan
+            .buckets
+            .iter()
+            .map(|bucket| BucketSummary {
+                batch: bucket.batch,
+                arena_bytes: bucket.memory.arena_bytes(),
+                buffers: bucket.memory.num_buffers(),
             })
             .collect();
         PlanSummary {

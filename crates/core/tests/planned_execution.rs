@@ -1,8 +1,11 @@
 //! Zoo-wide contracts of the static memory planner and arena executor:
 //!
-//! * **Bit-identity** — for every zoo model, `Session::run` over the planned
-//!   arena produces byte-for-byte the same output as the legacy per-run
-//!   allocating executor (`Network::run_unplanned`), run after run.
+//! * **Bit-identity** — for every zoo model and every batch-bucket rung up
+//!   to 8, `Session::run` over the planned arena produces byte-for-byte the
+//!   same output as the same executor over the degenerate no-reuse plan
+//!   (`Network::no_reuse_session`: one buffer per slot, no view-moves), run
+//!   after run. The no-reuse plan itself passes the static plan check
+//!   (`ORV015`–`ORV022`) — the constructor refuses it otherwise.
 //! * **Footprint** — the arena capacity actually resident after real runs
 //!   never exceeds the static [`orpheus::MemoryPlan`] prediction, and the
 //!   plan itself never exceeds what a no-reuse executor would hold.
@@ -37,18 +40,29 @@ fn load(model: ModelKind) -> (orpheus::Network, Tensor) {
 }
 
 #[test]
-fn arena_executor_is_bit_identical_across_zoo() {
+fn arena_executor_is_bit_identical_to_no_reuse_plan_across_zoo_and_rungs() {
     for model in ZOO {
-        let (network, input) = load(model);
-        let expected = network.run_unplanned(&input).unwrap();
+        let network = load_batched(model, 8);
+        assert_eq!(network.batch_buckets(), vec![1, 2, 4, 8], "{model}");
+        let mut oracle = network
+            .no_reuse_session()
+            .unwrap_or_else(|e| panic!("{model}: no-reuse plan rejected: {e}"));
         let mut session = network.session();
-        for run in 0..2 {
+        let hw = model.min_input_hw();
+        let ch = model.input_dims()[1];
+        // Climb the ladder, then drop back to the base rung so its recycled
+        // (dirty) arena is proven run after run too.
+        for batch in [1, 2, 4, 8, 1] {
+            let input = Tensor::from_fn(&[batch, ch, hw, hw], |i| {
+                (((i * 31 + batch) % 97) as f32 / 97.0) - 0.5
+            });
+            let expected = oracle.run(&input).unwrap();
             let got = session.run(&input).unwrap();
             assert_eq!(got.dims(), expected.dims(), "{model}: dims diverged");
             assert_eq!(
                 got.as_slice(),
                 expected.as_slice(),
-                "{model}: arena output differs from legacy executor (run {run})"
+                "{model} batch {batch}: arena output differs from the no-reuse plan"
             );
         }
     }
@@ -58,7 +72,7 @@ fn arena_executor_is_bit_identical_across_zoo() {
 fn runtime_arena_never_exceeds_static_prediction() {
     for model in ZOO {
         let (network, input) = load(model);
-        let plan = network.memory_plan().expect("load attaches a memory plan");
+        let plan = network.memory_plan();
         let predicted = plan.arena_bytes();
         assert!(predicted > 0, "{model}: empty memory plan");
         // The plan must never be worse than a no-reuse executor.
@@ -204,6 +218,6 @@ fn describe_reports_the_memory_plan() {
         text.contains("memory plan:"),
         "describe() must surface the plan summary:\n{text}"
     );
-    let plan = network.memory_plan().unwrap();
+    let plan = network.memory_plan();
     assert!(text.contains(&format!("{} buffer(s)", plan.num_buffers())));
 }

@@ -4,13 +4,14 @@
 //! thread-local scratch pool, and nothing else should touch the allocator.
 //!
 //! The counter is per-thread (single-thread engine ⇒ all work on the test
-//! thread), so the two model tests cannot pollute each other even when the
-//! harness runs them in parallel.
+//! thread), so the tests cannot pollute each other even when the harness
+//! runs them in parallel.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use orpheus::{Engine, Personality};
+use orpheus::{Engine, Network, Personality};
+use orpheus_graph::{AttrValue, Attributes, Graph, Node, OpKind, ValueInfo};
 use orpheus_models::{build_model_with_input, ModelKind};
 use orpheus_tensor::Tensor;
 
@@ -53,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-fn assert_steady_state_zero_alloc(model: ModelKind) {
+fn assert_model_steady_state_zero_alloc(model: ModelKind) {
     let hw = model.min_input_hw();
     let engine = Engine::builder()
         .personality(Personality::Orpheus)
@@ -61,8 +62,12 @@ fn assert_steady_state_zero_alloc(model: ModelKind) {
         .build()
         .unwrap();
     let network = engine.load(build_model_with_input(model, hw, hw)).unwrap();
-    let dims = [1, model.input_dims()[1], hw, hw];
-    let input = Tensor::from_fn(&dims, |i| ((i % 17) as f32) * 0.05 - 0.4);
+    assert_steady_state_zero_alloc(&network);
+}
+
+fn assert_steady_state_zero_alloc(network: &Network) {
+    let model = network.name();
+    let input = Tensor::from_fn(network.input_dims(), |i| ((i % 17) as f32) * 0.05 - 0.4);
 
     let mut session = network.session();
     // Warm-up: first runs populate the arena and the TLS kernel scratch
@@ -88,12 +93,62 @@ fn assert_steady_state_zero_alloc(model: ModelKind) {
 
 #[test]
 fn tiny_cnn_steady_state_is_allocation_free() {
-    assert_steady_state_zero_alloc(ModelKind::TinyCnn);
+    assert_model_steady_state_zero_alloc(ModelKind::TinyCnn);
 }
 
 #[test]
 fn lenet5_steady_state_is_allocation_free() {
-    assert_steady_state_zero_alloc(ModelKind::LeNet5);
+    assert_model_steady_state_zero_alloc(ModelKind::LeNet5);
+}
+
+/// `Pad` and `ReduceMean` are absent from the simplified zoo (`pad-fold`
+/// absorbs the former, exporters' `GlobalAveragePool` replaces the latter),
+/// so this graph — loaded with simplification off so the `Pad` survives —
+/// is what keeps them on the no-allocation contract: with `run_into` the
+/// trait's only execution method, no layer can allocate its result.
+#[test]
+fn pad_and_reduce_mean_steady_state_is_allocation_free() {
+    let mut g = Graph::new("pad-conv-mean");
+    g.add_input(ValueInfo::new("x", &[1, 3, 8, 8]));
+    g.add_initializer(
+        "w",
+        Tensor::from_fn(&[8, 3, 3, 3], |i| ((i % 11) as f32 - 5.0) * 0.05),
+    );
+    g.add_node(
+        Node::new("pad", OpKind::Pad, &["x"], &["xp"]).with_attrs(
+            Attributes::new()
+                .with("pads", AttrValue::Ints(vec![0, 0, 1, 1, 0, 0, 1, 1]))
+                .with("value", AttrValue::Float(0.0)),
+        ),
+    );
+    g.add_node(
+        Node::new("conv", OpKind::Conv, &["xp", "w"], &["c"]).with_attrs(
+            Attributes::new()
+                .with("kernel_shape", AttrValue::Ints(vec![3, 3]))
+                .with("pads", AttrValue::Ints(vec![0, 0, 0, 0])),
+        ),
+    );
+    g.add_node(
+        Node::new("mean", OpKind::ReduceMean, &["c"], &["y"]).with_attrs(
+            Attributes::new()
+                .with("axes", AttrValue::Ints(vec![2, 3]))
+                .with("keepdims", AttrValue::Int(1)),
+        ),
+    );
+    g.add_output("y");
+    let network = Engine::builder()
+        .threads(1)
+        .simplification(false)
+        .build()
+        .unwrap()
+        .load(g)
+        .unwrap();
+    let description = network.describe();
+    assert!(
+        description.contains("Pad") && description.contains("ReduceMean"),
+        "both layers must survive lowering:\n{description}"
+    );
+    assert_steady_state_zero_alloc(&network);
 }
 
 /// The zero-alloc contract holds *per batch bucket*: once a bucket's arena

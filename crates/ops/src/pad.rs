@@ -23,7 +23,29 @@ pub fn pad_constant(
     ends: &[usize],
     value: f32,
 ) -> Result<Tensor, OpError> {
-    let rank = input.dims().len();
+    // A mis-sized pad spec only truncates the dims here; `_into` rejects it.
+    let out_dims: Vec<usize> = padded_dims(input.dims(), begins, ends).collect();
+    let mut out = Tensor::zeros(&out_dims);
+    pad_constant_into(input, begins, ends, value, &mut out)?;
+    Ok(out)
+}
+
+/// [`pad_constant`] writing into a preallocated output tensor of the padded
+/// dims. Allocation-free.
+///
+/// # Errors
+///
+/// Returns [`OpError::Shape`] if `begins`/`ends` do not have one entry per
+/// dimension or `output` does not have the padded dims.
+pub fn pad_constant_into(
+    input: &Tensor,
+    begins: &[usize],
+    ends: &[usize],
+    value: f32,
+    output: &mut Tensor,
+) -> Result<(), OpError> {
+    let in_dims = input.dims();
+    let rank = in_dims.len();
     if begins.len() != rank || ends.len() != rank {
         return Err(ShapeError::RankMismatch {
             expected: rank,
@@ -31,57 +53,54 @@ pub fn pad_constant(
         }
         .into());
     }
-    let out_dims: Vec<usize> = input
+    if !output
         .dims()
         .iter()
-        .zip(begins.iter().zip(ends))
-        .map(|(&d, (&b, &e))| d + b + e)
-        .collect();
-    let mut out = Tensor::full(&out_dims, value);
+        .copied()
+        .eq(padded_dims(in_dims, begins, ends))
+    {
+        return Err(ShapeError::Mismatch {
+            left: output.dims().to_vec(),
+            right: padded_dims(in_dims, begins, ends).collect(),
+        }
+        .into());
+    }
+    let out_data = output.as_mut_slice();
+    out_data.fill(value);
     if input.is_empty() {
-        return Ok(out);
+        return Ok(());
     }
     if rank == 0 {
         // Scalar: nothing to pad around.
-        out.as_mut_slice().copy_from_slice(input.as_slice());
-        return Ok(out);
+        out_data.copy_from_slice(input.as_slice());
+        return Ok(());
     }
     // Copy the input block row by row (last dimension contiguous).
-    let in_dims = input.dims().to_vec();
-    let row = *in_dims.last().unwrap_or(&1);
-    let n_rows = input.len() / row.max(1);
-    let in_strides: Vec<usize> = {
-        let mut s = vec![1usize; rank];
-        for i in (0..rank.saturating_sub(1)).rev() {
-            s[i] = s[i + 1] * in_dims[i + 1];
-        }
-        s
-    };
-    let out_strides: Vec<usize> = {
-        let mut s = vec![1usize; rank];
-        for i in (0..rank.saturating_sub(1)).rev() {
-            s[i] = s[i + 1] * out_dims[i + 1];
-        }
-        s
-    };
-    let in_data = input.as_slice();
-    let out_data = out.as_mut_slice();
-    for r in 0..n_rows {
-        // Decompose the row index into leading coordinates.
+    let row = in_dims[rank - 1];
+    for (r, src) in input.as_slice().chunks_exact(row).enumerate() {
+        // Decompose the row index into leading coordinates, innermost first,
+        // growing the output stride as each dimension is consumed.
         let mut rem = r;
-        let mut in_off = 0usize;
-        let mut out_off = 0usize;
-        for d in 0..rank.saturating_sub(1) {
-            let extent: usize = in_dims[d + 1..rank - 1].iter().product();
-            let coord = rem / extent.max(1);
-            rem %= extent.max(1);
-            in_off += coord * in_strides[d];
-            out_off += (coord + begins[d]) * out_strides[d];
+        let mut out_off = begins[rank - 1];
+        let mut stride = row + begins[rank - 1] + ends[rank - 1];
+        for d in (0..rank - 1).rev() {
+            out_off += (rem % in_dims[d] + begins[d]) * stride;
+            rem /= in_dims[d];
+            stride *= in_dims[d] + begins[d] + ends[d];
         }
-        let out_start = out_off + begins[rank - 1];
-        out_data[out_start..out_start + row].copy_from_slice(&in_data[in_off..in_off + row]);
+        out_data[out_off..out_off + row].copy_from_slice(src);
     }
-    Ok(out)
+    Ok(())
+}
+
+fn padded_dims<'a>(
+    dims: &'a [usize],
+    begins: &'a [usize],
+    ends: &'a [usize],
+) -> impl Iterator<Item = usize> + 'a {
+    dims.iter()
+        .zip(begins.iter().zip(ends))
+        .map(|(&d, (&b, &e))| d + b + e)
 }
 
 #[cfg(test)]
@@ -138,6 +157,16 @@ mod tests {
     fn rejects_wrong_rank_spec() {
         let t = Tensor::zeros(&[2, 2]);
         assert!(pad_constant(&t, &[1], &[1, 1], 0.0).is_err());
+    }
+
+    #[test]
+    fn into_rejects_mis_sized_output_and_overwrites_stale_data() {
+        let t = Tensor::ones(&[1, 2]);
+        let mut wrong = Tensor::zeros(&[3, 3]);
+        assert!(pad_constant_into(&t, &[1, 1], &[1, 1], 0.0, &mut wrong).is_err());
+        let mut out = Tensor::full(&[3, 4], 7.0);
+        pad_constant_into(&t, &[1, 1], &[1, 1], 0.0, &mut out).unwrap();
+        assert_eq!(out, pad_constant(&t, &[1, 1], &[1, 1], 0.0).unwrap());
     }
 
     #[test]

@@ -18,18 +18,36 @@ use crate::error::OpError;
 ///
 /// Returns [`OpError::InvalidParams`] for repeated or out-of-range axes.
 pub fn reduce_mean(input: &Tensor, axes: &[usize], keepdims: bool) -> Result<Tensor, OpError> {
-    let rank = input.dims().len();
-    let mut reduce = vec![false; rank];
-    for &a in axes {
+    let out_dims: Vec<usize> = reduced_dims(input.dims(), axes, keepdims).collect();
+    let mut out = Tensor::zeros(&out_dims);
+    reduce_mean_into(input, axes, keepdims, &mut out)?;
+    Ok(out)
+}
+
+/// [`reduce_mean`] writing into a preallocated output tensor of the reduced
+/// dims. Allocation-free.
+///
+/// # Errors
+///
+/// Returns [`OpError::InvalidParams`] for repeated or out-of-range axes, and
+/// [`OpError::Shape`] for an empty input or an output dims mismatch.
+pub fn reduce_mean_into(
+    input: &Tensor,
+    axes: &[usize],
+    keepdims: bool,
+    output: &mut Tensor,
+) -> Result<(), OpError> {
+    let in_dims = input.dims();
+    let rank = in_dims.len();
+    for (i, &a) in axes.iter().enumerate() {
         if a >= rank {
             return Err(OpError::InvalidParams(format!(
                 "axis {a} out of range for rank {rank}"
             )));
         }
-        if reduce[a] {
+        if axes[..i].contains(&a) {
             return Err(OpError::InvalidParams(format!("axis {a} repeated")));
         }
-        reduce[a] = true;
     }
     if input.is_empty() {
         return Err(ShapeError::ElementCountMismatch {
@@ -38,52 +56,54 @@ pub fn reduce_mean(input: &Tensor, axes: &[usize], keepdims: bool) -> Result<Ten
         }
         .into());
     }
-    let in_dims = input.dims();
-    let kept_dims: Vec<usize> = (0..rank)
-        .filter(|&d| !reduce[d])
-        .map(|d| in_dims[d])
-        .collect();
-    let out_count: usize = kept_dims.iter().product::<usize>().max(1);
-    let reduce_count: usize = (0..rank)
-        .filter(|&d| reduce[d])
-        .map(|d| in_dims[d])
-        .product::<usize>()
-        .max(1);
-
-    let in_strides = input.shape().strides();
-    let mut sums = vec![0.0f32; out_count];
-    // Walk every element once, scattering into its kept-coordinates bucket.
-    let kept_strides: Vec<usize> = {
-        let mut s = vec![1usize; kept_dims.len()];
-        for i in (0..kept_dims.len().saturating_sub(1)).rev() {
-            s[i] = s[i + 1] * kept_dims[i + 1];
+    if !output
+        .dims()
+        .iter()
+        .copied()
+        .eq(reduced_dims(in_dims, axes, keepdims))
+    {
+        return Err(ShapeError::Mismatch {
+            left: output.dims().to_vec(),
+            right: reduced_dims(in_dims, axes, keepdims).collect(),
         }
-        s
-    };
-    let data = input.as_slice();
-    for (flat, &x) in data.iter().enumerate() {
+        .into());
+    }
+    let reduce_count: usize = axes.iter().map(|&a| in_dims[a]).product();
+    let sums = output.as_mut_slice();
+    sums.fill(0.0);
+    // Walk every element once, scattering into its kept-coordinates bucket;
+    // coordinates are peeled innermost first so the kept stride grows as
+    // each kept dimension is consumed.
+    for (flat, &x) in input.as_slice().iter().enumerate() {
+        let mut rem = flat;
         let mut out_idx = 0usize;
-        let mut kept_axis = 0usize;
-        for d in 0..rank {
-            let coord = (flat / in_strides[d]) % in_dims[d];
-            if !reduce[d] {
-                out_idx += coord * kept_strides[kept_axis];
-                kept_axis += 1;
+        let mut kept_stride = 1usize;
+        for d in (0..rank).rev() {
+            if !axes.contains(&d) {
+                out_idx += rem % in_dims[d] * kept_stride;
+                kept_stride *= in_dims[d];
             }
+            rem /= in_dims[d];
         }
         sums[out_idx] += x;
     }
-    for s in &mut sums {
+    for s in sums {
         *s /= reduce_count as f32;
     }
-    let out_dims: Vec<usize> = if keepdims {
-        (0..rank)
-            .map(|d| if reduce[d] { 1 } else { in_dims[d] })
-            .collect()
-    } else {
-        kept_dims
-    };
-    Tensor::from_vec(sums, &out_dims).map_err(Into::into)
+    Ok(())
+}
+
+/// The output dims of a mean over `axes` (out-of-range axes never match; the
+/// `_into` entry point rejects them).
+fn reduced_dims<'a>(
+    dims: &'a [usize],
+    axes: &'a [usize],
+    keepdims: bool,
+) -> impl Iterator<Item = usize> + 'a {
+    dims.iter()
+        .enumerate()
+        .filter(move |(d, _)| keepdims || !axes.contains(d))
+        .map(|(d, &extent)| if axes.contains(&d) { 1 } else { extent })
 }
 
 #[cfg(test)]
@@ -131,6 +151,16 @@ mod tests {
         let t = Tensor::from_fn(&[2, 2], |i| i as f32);
         let out = reduce_mean(&t, &[], false).unwrap();
         assert_eq!(out, t);
+    }
+
+    #[test]
+    fn into_rejects_mis_shaped_output_and_overwrites_stale_data() {
+        let t = Tensor::from_fn(&[2, 3], |i| i as f32);
+        let mut wrong = Tensor::zeros(&[2]);
+        assert!(reduce_mean_into(&t, &[1], true, &mut wrong).is_err());
+        let mut out = Tensor::full(&[2, 1], 9.0);
+        reduce_mean_into(&t, &[1], true, &mut out).unwrap();
+        assert_eq!(out.as_slice(), &[1.0, 4.0]);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Everything here is read-only: analyses compute facts (liveness, peak
 //! activation memory, reachability) that the verifier, the lint report, and
-//! tests consume. The liveness model mirrors the engine's executor — a value
-//! is materialized when its producer runs and reclaimed right after its last
-//! consumer — so the static peak estimate matches what
-//! `Network::run_profiled` observes, without running the model.
+//! tests consume. The liveness model mirrors the engine's memory planner — a
+//! value is materialized when its producer runs and reclaimed right after its
+//! last consumer — so the static peak estimate tracks the planned arena
+//! `Network::run_profiled` reports, without loading the model.
 
 use std::collections::{HashMap, HashSet};
 

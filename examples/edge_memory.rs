@@ -1,10 +1,10 @@
-//! Edge memory budget: profile activation memory under the executor's
-//! liveness-based reclamation.
+//! Edge memory budget: the activation arena a session keeps resident under
+//! the static, liveness-driven memory plan.
 //!
 //! Edge devices (the paper's IoT boards, phones, drones) are memory-bound
-//! as often as compute-bound. The executor frees every intermediate tensor
-//! after its last consumer; this example shows what that buys on each of
-//! the paper's models.
+//! as often as compute-bound. The memory plan recycles every activation
+//! buffer after its value's last consumer; this example shows what that
+//! buys on each of the paper's models.
 //!
 //! ```sh
 //! cargo run --release --example edge_memory
@@ -17,7 +17,7 @@ use orpheus_tensor::Tensor;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "{:<14} {:>6} {:>12} {:>14} {:>14} {:>8}",
-        "model", "input", "layers", "peak MiB", "total MiB", "saved"
+        "model", "input", "layers", "arena MiB", "total MiB", "saved"
     );
     for model in ModelKind::FIGURE2 {
         // Reduced inputs keep the example quick; ratios are representative.
@@ -40,8 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "\n'saved' = total activation bytes allocated / peak live bytes: the\n\
-         factor by which liveness-based reclamation shrinks the memory footprint."
+        "\n'saved' = total activation value bytes / planned arena bytes: the\n\
+         factor by which liveness-based buffer reuse shrinks the resident footprint."
     );
     Ok(())
 }

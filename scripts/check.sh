@@ -49,16 +49,18 @@ echo "== plan soundness (release, all zoo models x full bucket ladder) =="
 # reclaim, no aliasing of live slots, valid view-moves, consistent ladder.
 ./target/release/orpheus-cli lint --model all --max-batch 8 --check-plan
 
-echo "== plan sanitizer (debug assertions + corruption hook) =="
-# Debug builds re-prove plan soundness inside Engine::load; the corruption
+echo "== plan check at load (debug + release, corruption hook) =="
+# Every build re-proves plan soundness inside Engine::load; the corruption
 # hook injects one known-bad mutation per ORV code and the load must be
-# rejected with the offending bucket and code attributed.
+# rejected with the offending bucket and code attributed. The release run
+# proves the check is not a debug-only fork.
 cargo test -q -p orpheus --test plan_sanitizer
+cargo test -q --release -p orpheus --test plan_sanitizer
 
 echo "== zero-allocation arena executor =="
 # Counting-allocator proof that steady-state Session::run never touches the
-# heap, plus zoo-wide bit-identity vs. the legacy executor and the
-# runtime-footprint <= static-prediction pin.
+# heap, plus zoo-wide bit-identity vs. the no-reuse plan on the same
+# executor and the runtime-footprint <= static-prediction pin.
 cargo test -q -p orpheus --test zero_alloc --test planned_execution
 
 echo "== bench regression gate (release, quick budgets) =="
@@ -70,24 +72,6 @@ echo "== bench regression gate (release, quick budgets) =="
 ./target/release/orpheus-cli bench --quick \
   --out "$LINT_TMP/BENCH_check.json" \
   --compare results/bench_baseline.json --budget-pct 300
-
-echo "== session-vs-legacy repeat smoke (release) =="
-# The arena executor must not regress steady-state latency: fail if its p50
-# exceeds 3x the legacy per-run allocator's (generous bound — debug-free
-# release numbers are typically at parity or better).
-session_p50="$(./target/release/orpheus-cli repeat --model tiny_cnn --runs 30 --warmup 5 \
-  | awk '/^ *p50/ { printf "%d", $2 * 1000 }')"
-legacy_p50="$(./target/release/orpheus-cli repeat --model tiny_cnn --runs 30 --warmup 5 --legacy \
-  | awk '/^ *p50/ { printf "%d", $2 * 1000 }')"
-echo "p50: session ${session_p50}us, legacy ${legacy_p50}us"
-if [ -z "$session_p50" ] || [ -z "$legacy_p50" ]; then
-  echo "FAIL: could not parse repeat p50 output" >&2
-  exit 1
-fi
-if [ "$session_p50" -gt $((legacy_p50 * 3)) ]; then
-  echo "FAIL: session p50 ${session_p50}us > 3x legacy p50 ${legacy_p50}us" >&2
-  exit 1
-fi
 
 echo "== serve smoke (release: clean + fault-injected load-gen) =="
 # The serving core must shed-or-serve every request, keep every injected
@@ -141,5 +125,11 @@ if [ "$batched_rps" -lt "$serial_rps" ]; then
   echo "FAIL: batched throughput ${batched_rps} req/s below serial ${serial_rps} req/s" >&2
   exit 1
 fi
+
+echo "== repo benchmark smoke (benchmark/run.sh --smoke) =="
+# Builds the standalone harness against the crates' public surface and runs
+# all four workloads for 2 s each: every op checked against the reference
+# session, steady-state allocations == 0, replayed convs bit-equal.
+bash benchmark/run.sh --smoke
 
 echo "all checks passed"
