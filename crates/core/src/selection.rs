@@ -8,9 +8,9 @@
 //! * [`SelectionPolicy::Fixed`] — one algorithm for every convolution (what
 //!   each framework personality pins);
 //! * [`SelectionPolicy::Heuristic`] — the paper's "GEMM pays off for big
-//!   matrices" observation refined by measurement on this reproduction's
-//!   kernels: GEMM unless the reduction is too shallow to feed the packed
-//!   micro-kernel, a dedicated kernel for depthwise;
+//!   matrices" observation checked by measurement on this reproduction's
+//!   kernels: GEMM for every dense geometry, a dedicated kernel for
+//!   depthwise;
 //! * [`SelectionPolicy::AutoTune`] — measure each candidate on the layer's
 //!   real shape and keep the fastest (TVM's approach, in miniature).
 
@@ -48,7 +48,7 @@ impl SelectionPolicy {
     ) -> ConvAlgorithm {
         let chosen = match *self {
             SelectionPolicy::Fixed(algo) => algo,
-            SelectionPolicy::Heuristic => heuristic(params, h, w),
+            SelectionPolicy::Heuristic => heuristic(params),
             SelectionPolicy::AutoTune { trials } => auto_tune(params, h, w, pool, trials.max(1)),
         };
         // Guarantee applicability regardless of policy.
@@ -65,34 +65,15 @@ impl SelectionPolicy {
 /// Geometry rule calibrated against the `orpheus-cli sweep` measurements on
 /// this reproduction's kernels (see EXPERIMENTS.md).
 ///
-/// The deciding quantity is the GEMM *reduction depth* `K = ci·kh·kw`: the
-/// packed micro-kernel needs enough accumulation per output tile to amortize
-/// its panel packing, so shallow layers (RGB stems, 16-channel CIFAR layers)
-/// run faster under direct spatial packing. This refines the paper's "GEMM
-/// pays off for big matrices" observation with the measured crossover.
-fn heuristic(params: &Conv2dParams, _h: usize, _w: usize) -> ConvAlgorithm {
+/// The sweep finds no reduction depth `K = ci·kh·kw` below which spatial
+/// packing beats implicit-GEMM convolution: packed GEMM wins from `K = 27`
+/// up at every feature-map size of 16x16 and above, by 1.7–4x, and spatial
+/// packing's only wins are sub-microsecond ones on 8x8 maps with `K <= 36`.
+/// So the paper's "GEMM pays off for big matrices" holds for every dense
+/// geometry here, and only depthwise keeps its own kernel.
+fn heuristic(params: &Conv2dParams) -> ConvAlgorithm {
     if params.is_depthwise() {
-        return ConvAlgorithm::DepthwiseDirect;
-    }
-    if params.groups > 1 {
-        return ConvAlgorithm::default();
-    }
-    // Pointwise stride-1 convolutions have no im2col cost at all.
-    let pointwise = params.kernel_h == 1
-        && params.kernel_w == 1
-        && params.stride_h == 1
-        && params.stride_w == 1;
-    if pointwise {
-        return ConvAlgorithm::default();
-    }
-    let k = (params.in_channels / params.groups) * params.kernel_h * params.kernel_w;
-    // Shallow reductions starve the packed micro-kernel: `orpheus-cli sweep`
-    // measures ~6 GFLOP/s at k = 144 (16-channel 3x3, or an RGB stem) vs
-    // ~16 GFLOP/s for spatial packing, with the crossover near k ≈ 300;
-    // beyond it GEMM wins at every feature-map size measured.
-    const MIN_GEMM_DEPTH: usize = 300;
-    if k < MIN_GEMM_DEPTH {
-        ConvAlgorithm::SpatialPack
+        ConvAlgorithm::DepthwiseDirect
     } else {
         ConvAlgorithm::default()
     }
@@ -197,52 +178,22 @@ mod tests {
     }
 
     #[test]
-    fn heuristic_prefers_gemm_for_wide_layers() {
-        // WRN wide layer: 64ch 3x3 on 16x16 → deep reduction, small columns.
-        let small = Conv2dParams::square(64, 64, 3).with_padding(1, 1);
-        assert_eq!(
-            SelectionPolicy::Heuristic.select(&small, 16, 16, &ThreadPool::single()),
-            ConvAlgorithm::Im2colGemm(GemmKernel::Packed)
-        );
-    }
-
-    #[test]
-    fn heuristic_prefers_spatial_pack_for_shallow_reductions() {
-        // An RGB stem (k = 3*7*7 = 147) starves the GEMM micro-kernel.
+    fn heuristic_keeps_gemm_at_every_reduction_depth() {
+        // Shallow (RGB stem, k = 147; 16-channel 3x3, k = 144), deep
+        // (64-channel 3x3, k = 576) and pointwise alike: the sweep finds no
+        // depth below which spatial packing beats the implicit-GEMM path.
         let stem = Conv2dParams::square(3, 64, 7)
             .with_stride(2, 2)
             .with_padding(3, 3);
-        assert_eq!(
-            SelectionPolicy::Heuristic.select(&stem, 224, 224, &ThreadPool::single()),
-            ConvAlgorithm::SpatialPack
-        );
-        // 16-channel 3x3 (k = 144) likewise.
         let thin = Conv2dParams::square(16, 16, 3).with_padding(1, 1);
-        assert_eq!(
-            SelectionPolicy::Heuristic.select(&thin, 32, 32, &ThreadPool::single()),
-            ConvAlgorithm::SpatialPack
-        );
-    }
-
-    #[test]
-    fn heuristic_keeps_gemm_for_deep_reductions() {
-        // ResNet-18 stage-1 layer: 64ch 3x3 (k = 576) — GEMM wins even with
-        // a 7 MiB column matrix (measured).
         let deep = Conv2dParams::square(64, 64, 3).with_padding(1, 1);
-        assert_eq!(
-            SelectionPolicy::Heuristic.select(&deep, 56, 56, &ThreadPool::single()),
-            ConvAlgorithm::Im2colGemm(GemmKernel::Packed)
-        );
-    }
-
-    #[test]
-    fn heuristic_prefers_gemm_for_pointwise() {
-        // MobileNet/ResNet-50 pointwise layers skip im2col entirely.
-        let pw = Conv2dParams::square(512, 512, 1);
-        assert_eq!(
-            SelectionPolicy::Heuristic.select(&pw, 28, 28, &ThreadPool::single()),
-            ConvAlgorithm::Im2colGemm(GemmKernel::Packed)
-        );
+        let pointwise = Conv2dParams::square(512, 512, 1);
+        for (params, hw) in [(stem, 224), (thin, 32), (deep, 56), (pointwise, 28)] {
+            assert_eq!(
+                SelectionPolicy::Heuristic.select(&params, hw, hw, &ThreadPool::single()),
+                ConvAlgorithm::Im2colGemm(GemmKernel::Packed)
+            );
+        }
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! the ability to use a high-performance GEMM. The paper credits exactly this
 //! trade for Orpheus winning on large models and losing to spatial-pack on
 //! small ones.
+//!
+//! The packed tiers do not pay that memory: [`load_column_panel`] gathers
+//! each `kc x NR` micro-panel of the (virtual) column matrix straight from
+//! the image. [`im2col`] itself serves the eager personality and the unpacked
+//! GEMM tiers.
+
+use crate::packed::NR;
 
 /// Geometry of an [`im2col`] lowering for one image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -148,6 +155,78 @@ pub fn im2col(params: &Im2colParams, input: &[f32], output: &mut [f32]) {
                 row += 1;
             }
         }
+    }
+}
+
+/// The virtual-column loader: writes rows `p0..p0 + kc`, columns
+/// `j0..j0 + NR` of the column matrix [`im2col`] would build into `dst` in
+/// micro-panel order `[p][c]`, reading the CHW `input` directly. Columns past
+/// `matrix_cols()` and out-of-image taps become zeros, so the panel is
+/// byte-identical to packing the materialised matrix.
+pub(crate) fn load_column_panel(
+    params: &Im2colParams,
+    input: &[f32],
+    dst: &mut [f32],
+    p0: usize,
+    kc: usize,
+    j0: usize,
+) {
+    let ow = params.out_w();
+    let ncols = NR.min(params.matrix_cols() - j0);
+    let taps = params.kernel_h * params.kernel_w;
+    let plane = params.height * params.width;
+    let dst = &mut dst[..kc * NR];
+    if ncols < NR {
+        for row in dst.chunks_exact_mut(NR) {
+            row[ncols..].fill(0.0);
+        }
+    }
+    // Walk the tile's columns in runs that stay on one output row: within a
+    // run, pad/stride/dilation resolve once per (ky, kx) tap into "`lead`
+    // zeros, `len` pixels from `ix0`, zeros", identical for every channel.
+    let mut c0 = 0;
+    while c0 < ncols {
+        let (oy, ox0) = ((j0 + c0) / ow, (j0 + c0) % ow);
+        let run = (ow - ox0).min(ncols - c0);
+        for ky in 0..params.kernel_h {
+            let iy = (oy * params.stride_h + ky * params.dilation_h).wrapping_sub(params.pad_h);
+            for kx in 0..params.kernel_w {
+                let tap = ky * params.kernel_w + kx;
+                // ix = ox*stride + x_off lies inside the image for ox in lo..hi.
+                let x_off = (kx * params.dilation_w) as isize - params.pad_w as isize;
+                let lo = (-x_off).max(0) as usize;
+                let lo = lo.div_ceil(params.stride_w).clamp(ox0, ox0 + run);
+                let hi = (params.width as isize - x_off).max(0) as usize;
+                let hi = hi.div_ceil(params.stride_w).clamp(lo, ox0 + run);
+                let (lead, len) = if iy < params.height {
+                    (lo - ox0, hi - lo)
+                } else {
+                    (run, 0)
+                };
+                let ix0 = (lo * params.stride_w) as isize + x_off;
+                // Channels whose row `ch*taps + tap` falls in this KC block.
+                let ch_lo = p0.saturating_sub(tap).div_ceil(taps);
+                let ch_hi = (p0 + kc).saturating_sub(tap).div_ceil(taps);
+                for ch in ch_lo..ch_hi {
+                    let row = &mut dst[(ch * taps + tap - p0) * NR + c0..][..run];
+                    row[..lead].fill(0.0);
+                    row[lead + len..].fill(0.0);
+                    if len == 0 {
+                        continue;
+                    }
+                    let src = &input[ch * plane + iy * params.width + ix0 as usize..];
+                    let body = &mut row[lead..lead + len];
+                    if params.stride_w == 1 {
+                        body.copy_from_slice(&src[..len]);
+                    } else {
+                        for (slot, &v) in body.iter_mut().zip(src.iter().step_by(params.stride_w)) {
+                            *slot = v;
+                        }
+                    }
+                }
+            }
+        }
+        c0 += run;
     }
 }
 

@@ -55,7 +55,10 @@ mod simd;
 
 pub use driver::{gemm, gemm_parallel, GemmKernel};
 pub use im2col::{im2col, Im2colParams};
-pub use packed::{gemm_prepacked_a, gemm_prepacked_a_parallel, gemm_prepacked_b, PackedWeights};
+pub use packed::{
+    gemm_prepacked_a, gemm_prepacked_a_images, gemm_prepacked_a_parallel, gemm_prepacked_b,
+    PackedWeights, PanelLayout, PanelLoader,
+};
 pub use simd::{
     active_is_simd, active_kernel, dispatch_name, scalar_kernel, simd_available, MicroKernel,
 };

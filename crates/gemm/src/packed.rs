@@ -1,21 +1,38 @@
 //! BLIS-style packed GEMM with a register-tiled micro-kernel.
 //!
-//! The matrix is processed in `MC x KC` panels of `A` and `KC x NC` panels of
-//! `B`, both repacked into micro-panel order so the micro-kernel streams
-//! through memory with unit stride. The micro-kernel itself is pluggable
-//! (scalar or AVX2/FMA, see the `simd` module); it computes an `MR x NR`
-//! block of `C` held entirely in registers.
+//! Both operands are repacked into micro-panel order so the micro-kernel
+//! streams through memory with unit stride: `A` in `MR`-row panels, `B` in
+//! `NR`-column panels, both cut into `KC`-deep blocks of the shared
+//! dimension. The micro-kernel itself is pluggable (scalar or AVX2/FMA, see
+//! the `simd` module); it computes an `MR x NR` block of `C` held entirely in
+//! registers.
 //!
-//! Weights that are reused across runs can be packed **once** into
-//! [`PackedWeights`] (at `Engine::load` time) and multiplied with
-//! [`gemm_prepacked_a`] / [`gemm_prepacked_b`], so the steady-state run loop
-//! packs only the activation operand and allocates nothing.
+//! Weights that are reused across runs are packed **once** into
+//! [`PackedWeights`] (at `Engine::load` time). The prepacked-A driver,
+//! [`gemm_prepacked_a_images`], then runs
+//!
+//! ```text
+//! for p0 in KC-blocks            // one sweep of a packed weight block ...
+//!   for img in images            // ... serves every image of the bucket
+//!     for jr in NR-tiles
+//!       loader.load(panel, img, p0, kc, jr)   // kc x NR floats, 16 KB
+//!       for ir in MR-tiles: micro-kernel tile
+//! ```
+//!
+//! so each B micro-panel is produced by a [`PanelLoader`] right before the
+//! tiles that consume it: it lives and dies in L1, and one panel per thread
+//! is the only B-side scratch. The loader is what separates a plain GEMM
+//! (row-major `B`) from an implicit-GEMM convolution (the column matrix
+//! gathered from the image, never materialised). [`gemm_packed`] (both
+//! operands packed on the fly) and [`gemm_prepacked_b`] (dense layers) keep
+//! their own, simpler nests.
 
 use std::time::{Duration, Instant};
 
 use orpheus_threads::ThreadPool;
 
 use crate::driver::GemmKernel;
+use crate::im2col::{load_column_panel, Im2colParams};
 use crate::kernels::scale_c;
 use crate::simd::MicroKernel;
 
@@ -274,6 +291,78 @@ impl PackedWeights {
     }
 }
 
+/// Where the prepacked-A driver's B micro-panels come from: image `i`'s
+/// `k x n` right-hand operand is read from `data[i * image_stride..]`.
+#[derive(Debug, Clone, Copy)]
+pub struct PanelLoader<'a> {
+    /// The operands' backing data, image after image.
+    pub data: &'a [f32],
+    /// Offset from one image's data to the next.
+    pub image_stride: usize,
+    /// How one image's data maps onto its operand.
+    pub layout: PanelLayout<'a>,
+}
+
+/// How a [`PanelLoader`] turns one image's data into `kc x NR` micro-panels.
+#[derive(Debug, Clone, Copy)]
+pub enum PanelLayout<'a> {
+    /// The data is the row-major `k x n` operand, leading dimension `ldb`.
+    RowMajor { ldb: usize, n: usize },
+    /// [`PanelLayout::RowMajor`] over a column matrix the caller built with
+    /// [`crate::im2col`] (eager GEMM convolution); differs in trace name only.
+    Materialised { ldb: usize, n: usize },
+    /// Implicit GEMM: the data is a CHW image and the operand its column
+    /// matrix under this lowering, gathered panel by panel, never built.
+    VirtualColumns(&'a Im2colParams),
+}
+
+impl PanelLoader<'_> {
+    /// Loader name for trace attribution.
+    fn name(&self) -> &'static str {
+        match self.layout {
+            PanelLayout::RowMajor { .. } => "row-major",
+            PanelLayout::Materialised { .. } => "materialised",
+            PanelLayout::VirtualColumns(_) => "virtual",
+        }
+    }
+
+    /// Columns of each image's operand.
+    fn n(&self) -> usize {
+        match self.layout {
+            PanelLayout::RowMajor { n, .. } | PanelLayout::Materialised { n, .. } => n,
+            PanelLayout::VirtualColumns(params) => params.matrix_cols(),
+        }
+    }
+
+    /// Panics unless `images` operands of depth `k` can be loaded.
+    fn check(&self, k: usize, images: usize) {
+        let per_image = match self.layout {
+            PanelLayout::RowMajor { ldb, n } | PanelLayout::Materialised { ldb, n } => {
+                assert!(ldb >= n, "leading dims too small");
+                k.saturating_sub(1) * ldb + n
+            }
+            PanelLayout::VirtualColumns(params) => {
+                assert_eq!(params.matrix_rows(), k, "lowering depth != packed k");
+                params.channels * params.height * params.width
+            }
+        };
+        let needed = (images - 1) * self.image_stride + per_image;
+        assert!(k == 0 || self.data.len() >= needed, "B buffer too small");
+    }
+
+    /// Writes rows `p0..p0 + kc`, columns `j0..j0 + NR` of image `img`'s
+    /// operand into `dst` in `[p][c]` order, zero-padding a ragged tile.
+    fn load(&self, dst: &mut [f32], img: usize, p0: usize, kc: usize, j0: usize) {
+        let data = &self.data[img * self.image_stride..];
+        match self.layout {
+            PanelLayout::RowMajor { ldb, n } | PanelLayout::Materialised { ldb, n } => {
+                pack_b_panel(dst, data, ldb, p0, kc, j0, n)
+            }
+            PanelLayout::VirtualColumns(params) => load_column_panel(params, data, dst, p0, kc, j0),
+        }
+    }
+}
+
 /// `C = packed_A·B + beta·C` where the `m x k` left operand was packed once
 /// with [`PackedWeights::pack_a`].
 ///
@@ -295,21 +384,8 @@ pub fn gemm_prepacked_a(
     ldc: usize,
     beta: f32,
 ) {
-    let m = weights.out_rows();
-    check_prepacked_bc(m, n, weights.k, b, ldb, c, ldc);
-    crate::driver::count_dispatch(kernel);
-    prepacked_a_band(
-        crate::driver::micro_kernel_for(kernel),
-        weights,
-        0,
-        m,
-        n,
-        b,
-        ldb,
-        c,
-        ldc,
-        beta,
-    );
+    let pool = ThreadPool::single();
+    gemm_prepacked_a_parallel(kernel, &pool, weights, n, b, ldb, c, ldc, beta);
 }
 
 /// Parallel [`gemm_prepacked_a`]: splits the rows of `C` into register-tile
@@ -326,94 +402,164 @@ pub fn gemm_prepacked_a_parallel(
     ldc: usize,
     beta: f32,
 ) {
-    let m = weights.out_rows();
-    check_prepacked_bc(m, n, weights.k, b, ldb, c, ldc);
-    if pool.num_threads() == 1 || m <= MR || c.len() < m * ldc {
-        gemm_prepacked_a(kernel, weights, n, b, ldb, c, ldc, beta);
+    let loader = PanelLoader {
+        data: b,
+        image_stride: 0,
+        layout: PanelLayout::RowMajor { ldb, n },
+    };
+    gemm_prepacked_a_images(kernel, pool, weights, &loader, 1, c, ldc, 0, beta);
+}
+
+/// The prepacked-A driver behind both functions above and GEMM convolution:
+/// `C[img] = packed_A·B[img] + beta·C[img]` for `images` right-hand operands
+/// drawn from `loader`. Image `img`'s `m x n` result (leading dimension
+/// `ldc`) lands at `c[img * c_image_stride..]`. The images are walked inside
+/// each `KC` block, so one sweep of the packed weights serves the whole
+/// batch, and every output element accumulates exactly as it does in a
+/// single-image call.
+///
+/// # Panics
+///
+/// Panics if `weights` is not an A-side pack, the loader's depth differs
+/// from it, or any buffer is too small.
+#[allow(clippy::too_many_arguments)] // BLAS-style signature
+pub fn gemm_prepacked_a_images(
+    kernel: GemmKernel,
+    pool: &ThreadPool,
+    weights: &PackedWeights,
+    loader: &PanelLoader,
+    images: usize,
+    c: &mut [f32],
+    ldc: usize,
+    c_image_stride: usize,
+    beta: f32,
+) {
+    let (m, n) = (weights.out_rows(), loader.n());
+    if m == 0 || n == 0 || images == 0 {
         return;
     }
+    assert!(ldc >= n, "leading dims too small");
+    let last = (images - 1) * c_image_stride;
+    assert!(c.len() >= last + (m - 1) * ldc + n, "C buffer too small");
+    assert!(
+        images == 1 || c_image_stride >= (m - 1) * ldc + n,
+        "C images overlap"
+    );
+    loader.check(weights.k, images);
     crate::driver::count_dispatch(kernel);
     let mk = crate::driver::micro_kernel_for(kernel);
+    // Row bands need every image of C addressable as m whole rows of ldc.
+    if pool.num_threads() == 1 || m <= MR || c.len() < last + m * ldc {
+        prepacked_a_band(
+            mk,
+            weights,
+            loader,
+            0..images,
+            0,
+            m,
+            c,
+            ldc,
+            c_image_stride,
+            beta,
+        );
+        return;
+    }
     // Bands must start on a register-tile boundary so band-local row indices
     // map onto the globally packed A panels.
     let min_rows = m.div_ceil(pool.num_threads()).max(1);
-    pool.parallel_for_rows_aligned(&mut c[..m * ldc], ldc, min_rows, MR, |row0, band| {
-        let rows = band.len() / ldc;
-        prepacked_a_band(mk, weights, row0, rows, n, b, ldb, band, ldc, beta);
-    });
+    for img in 0..images {
+        let c_img = &mut c[img * c_image_stride..][..m * ldc];
+        pool.parallel_for_rows_aligned(c_img, ldc, min_rows, MR, |row0, band| {
+            let rows = band.len() / ldc;
+            prepacked_a_band(
+                mk,
+                weights,
+                loader,
+                img..img + 1,
+                row0,
+                rows,
+                band,
+                ldc,
+                0,
+                beta,
+            );
+        });
+    }
 }
 
-/// Computes rows `row0..row0 + rows` of `C = packed_A·B + beta·C` into the
-/// band `c` (whose first row is global row `row0`; `row0 % MR == 0`).
+/// The prepacked-A loop nest: computes rows `row0..row0 + rows` of
+/// `C[img] = packed_A·B[img] + beta·C[img]` for every image in `imgs`. `c`
+/// starts at row `row0` of the first image (`row0 % MR == 0`); later images
+/// follow `c_image_stride` apart.
 #[allow(clippy::too_many_arguments)]
 fn prepacked_a_band(
     mk: &dyn MicroKernel,
     weights: &PackedWeights,
+    loader: &PanelLoader,
+    imgs: std::ops::Range<usize>,
     row0: usize,
     rows: usize,
-    n: usize,
-    b: &[f32],
-    ldb: usize,
     c: &mut [f32],
     ldc: usize,
+    c_image_stride: usize,
     beta: f32,
 ) {
     debug_assert_eq!(row0 % MR, 0, "band must start on a register-tile row");
-    if rows == 0 || n == 0 {
-        return;
+    let (n, k) = (loader.n(), weights.k);
+    for i in 0..imgs.len() {
+        scale_c(rows, n, &mut c[i * c_image_stride..], ldc, beta);
     }
-    scale_c(rows, n, c, ldc, beta);
-    let k = weights.k;
     if k == 0 {
         return;
     }
     let m_tiles = weights.out_rows().div_ceil(MR);
 
-    let mut b_pack = orpheus_threads::take_scratch(KC * n.div_ceil(NR) * NR);
+    let mut panel = orpheus_threads::take_scratch(KC * NR);
 
+    // Load vs. compute attribution, recorded only while tracing is on so the
+    // production path keeps its single atomic-load cost.
     let tracing = orpheus_observe::enabled();
     let mut gemm_span = orpheus_observe::span("gemm_prepacked", "gemm");
     let mut pack_time = Duration::ZERO;
-    let mut compute_time = Duration::ZERO;
 
+    let band_start = tracing.then(Instant::now);
     for p0 in (0..k).step_by(KC) {
         let kc = KC.min(k - p0);
-        let t = tracing.then(Instant::now);
-        pack_b(&mut b_pack, b, ldb, p0, kc, n);
-        if let Some(t) = t {
-            pack_time += t.elapsed();
-        }
         let blk = m_tiles * MR * p0;
-        let t = tracing.then(Instant::now);
-        for i0 in (0..rows).step_by(MC) {
-            let mc = MC.min(rows - i0);
+        for (i, img) in imgs.clone().enumerate() {
+            let c = &mut c[i * c_image_stride..];
             for jr in (0..n).step_by(NR) {
                 let nr = NR.min(n - jr);
-                let b_panel = &b_pack[(jr / NR) * kc * NR..(jr / NR + 1) * kc * NR];
-                for ir in (0..mc).step_by(MR) {
-                    let mr = MR.min(mc - ir);
-                    let tile = (row0 + i0 + ir) / MR;
+                let t = tracing.then(Instant::now);
+                loader.load(&mut panel, img, p0, kc, jr);
+                if let Some(t) = t {
+                    pack_time += t.elapsed();
+                }
+                let b_panel = &panel[..kc * NR];
+                for ir in (0..rows).step_by(MR) {
+                    let mr = MR.min(rows - ir);
+                    let tile = (row0 + ir) / MR;
                     let a_panel = &weights.data[blk + tile * kc * MR..blk + (tile + 1) * kc * MR];
                     if mr == MR && nr == NR {
-                        mk.tile_full(a_panel, b_panel, kc, c, ldc, i0 + ir, jr);
+                        mk.tile_full(a_panel, b_panel, kc, c, ldc, ir, jr);
                     } else {
-                        mk.tile_edge(a_panel, b_panel, kc, c, ldc, i0 + ir, jr, mr, nr);
+                        mk.tile_edge(a_panel, b_panel, kc, c, ldc, ir, jr, mr, nr);
                     }
                 }
             }
         }
-        if let Some(t) = t {
-            compute_time += t.elapsed();
-        }
     }
 
-    if tracing {
+    if let Some(start) = band_start {
+        // Loads and tiles interleave per panel: only the loads are clocked
+        // (two clock reads per panel) and the rest of the band is compute.
         let pack_us = pack_time.as_secs_f64() * 1e6;
-        let compute_us = compute_time.as_secs_f64() * 1e6;
+        let compute_us = start.elapsed().saturating_sub(pack_time).as_secs_f64() * 1e6;
         gemm_span.attr("m", rows);
         gemm_span.attr("n", n);
         gemm_span.attr("k", k);
         gemm_span.attr("isa", mk.name());
+        gemm_span.attr("loader", loader.name());
         gemm_span.attr("pack_us", pack_us);
         gemm_span.attr("compute_us", compute_us);
         orpheus_observe::counter_add("gemm.pack_us", pack_us as u64);
@@ -489,17 +635,6 @@ pub fn gemm_prepacked_b(
     }
 }
 
-fn check_prepacked_bc(m: usize, n: usize, k: usize, b: &[f32], ldb: usize, c: &[f32], ldc: usize) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    assert!(ldb >= n && ldc >= n, "leading dims too small");
-    if k > 0 {
-        assert!(b.len() >= (k - 1) * ldb + n, "B buffer too small");
-    }
-    assert!(c.len() >= (m - 1) * ldc + n, "C buffer too small");
-}
-
 /// Packs an `mc x kc` panel of `A` into micro-panels of `MR` rows:
 /// element order is `[tile][p][r]` so the micro-kernel reads MR values per
 /// `p` with unit stride. Ragged tiles are zero-padded.
@@ -523,17 +658,19 @@ fn pack_a(dst: &mut [f32], a: &[f32], lda: usize, i0: usize, mc: usize, p0: usiz
 /// Packs a `kc x n` panel of `B` into micro-panels of `NR` columns:
 /// element order is `[tile][p][c]`. Ragged tiles are zero-padded.
 fn pack_b(dst: &mut [f32], b: &[f32], ldb: usize, p0: usize, kc: usize, n: usize) {
-    let tiles = n.div_ceil(NR);
-    for t in 0..tiles {
-        let base = t * kc * NR;
-        let j0 = t * NR;
-        let cols = NR.min(n - j0);
-        for p in 0..kc {
-            let src = &b[(p0 + p) * ldb + j0..(p0 + p) * ldb + j0 + cols];
-            let row = &mut dst[base + p * NR..base + (p + 1) * NR];
-            row[..cols].copy_from_slice(src);
-            row[cols..].fill(0.0);
-        }
+    for (t, panel) in dst.chunks_mut(kc * NR).take(n.div_ceil(NR)).enumerate() {
+        pack_b_panel(panel, b, ldb, p0, kc, t * NR, n);
+    }
+}
+
+/// The row-major loader: packs rows `p0..p0 + kc`, columns `j0..j0 + NR` of
+/// the `k x n` matrix `b` into one micro-panel, order `[p][c]`.
+fn pack_b_panel(dst: &mut [f32], b: &[f32], ldb: usize, p0: usize, kc: usize, j0: usize, n: usize) {
+    let cols = NR.min(n - j0);
+    for (p, row) in dst[..kc * NR].chunks_exact_mut(NR).enumerate() {
+        let src = &b[(p0 + p) * ldb + j0..][..cols];
+        row[..cols].copy_from_slice(src);
+        row[cols..].fill(0.0);
     }
 }
 
@@ -677,6 +814,156 @@ mod prepacked_tests {
             let pw = PackedWeights::pack_a(&a, m, k, k);
             gemm_prepacked_a(GemmKernel::Packed, &pw, n, &b, n, &mut got, n, 1.0);
             assert_eq!(want, got, "({m},{n},{k})");
+        }
+    }
+
+    /// The loader oracle: over a geometry grid, every `(p0, jr)` panel the
+    /// virtual-column loader gathers from the image is byte-identical to the
+    /// same panel packed from the materialised `im2col` matrix — including
+    /// padding taps, ragged last tiles and KC blocks that start mid-channel.
+    #[test]
+    fn virtual_panels_byte_identical_to_packed_im2col() {
+        use crate::im2col::im2col;
+        let kernels = [(1, 1), (3, 3), (5, 5), (7, 7), (1, 7)];
+        let outs = [(1, 1), (3, 5), (4, 4), (1, 17), (7, 7), (8, 8)];
+        let mut checked = 0usize;
+        for (gi, &(kh, kw)) in kernels.iter().enumerate() {
+            for stride in 1..=3 {
+                for pad in [0, 1, 3] {
+                    for dil in [1, 2] {
+                        for &(oh, ow) in &outs {
+                            // Smallest input that yields exactly `oh x ow`.
+                            let extent =
+                                |o: usize, kk: usize| (o - 1) * stride + dil * (kk - 1) + 1;
+                            let (eh, ew) = (extent(oh, kh), extent(ow, kw));
+                            if eh <= 2 * pad || ew <= 2 * pad {
+                                continue;
+                            }
+                            // k = channels*kh*kw straddles KC: 255/256/257 rows
+                            // for 1x1, two-plus blocks for the larger kernels.
+                            let channels = [KC - 1, KC, KC + 1][gi % 3].div_ceil(kh * kw) + gi;
+                            let params = Im2colParams {
+                                channels,
+                                height: eh - 2 * pad,
+                                width: ew - 2 * pad,
+                                kernel_h: kh,
+                                kernel_w: kw,
+                                stride_h: stride,
+                                stride_w: stride,
+                                pad_h: pad,
+                                pad_w: pad,
+                                dilation_h: dil,
+                                dilation_w: dil,
+                            };
+                            assert_eq!((params.out_h(), params.out_w()), (oh, ow));
+                            let (k, n) = (params.matrix_rows(), params.matrix_cols());
+                            let image = seq(channels * params.height * params.width, 0.5);
+                            let mut columns = vec![f32::NAN; k * n];
+                            im2col(&params, &image, &mut columns);
+                            let loader = PanelLoader {
+                                data: &image,
+                                image_stride: 0,
+                                layout: PanelLayout::VirtualColumns(&params),
+                            };
+                            loader.check(k, 1);
+                            let mut want = vec![f32::NAN; KC * n.div_ceil(NR) * NR];
+                            let mut got = vec![f32::NAN; KC * NR];
+                            for p0 in (0..k).step_by(KC) {
+                                let kc = KC.min(k - p0);
+                                pack_b(&mut want, &columns, n, p0, kc, n);
+                                for jr in (0..n).step_by(NR) {
+                                    loader.load(&mut got, 0, p0, kc, jr);
+                                    let want = &want[jr / NR * kc * NR..][..kc * NR];
+                                    let same = want
+                                        .iter()
+                                        .zip(&got[..kc * NR])
+                                        .all(|(w, g)| w.to_bits() == g.to_bits());
+                                    assert!(same, "{params:?} p0={p0} jr={jr}");
+                                    checked += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 1000, "grid collapsed: {checked} panels");
+    }
+
+    /// Walking a batch inside each KC block leaves every image's result
+    /// bit-identical to its own single-image call, for both loaders.
+    #[test]
+    fn images_bit_identical_to_single_calls() {
+        let params = Im2colParams {
+            channels: 30,
+            height: 9,
+            width: 7,
+            kernel_h: 3,
+            kernel_w: 3,
+            stride_h: 1,
+            stride_w: 1,
+            pad_h: 1,
+            pad_w: 1,
+            dilation_h: 1,
+            dilation_w: 1,
+        };
+        let (m, k, n) = (10, params.matrix_rows(), params.matrix_cols());
+        let image = params.channels * params.height * params.width;
+        let images = 3;
+        let input = seq(images * image, 0.3);
+        let matrices = seq(images * k * n, 0.2);
+        let pw = PackedWeights::pack_a(&seq(m * k, 0.1), m, k, k);
+        let pool = ThreadPool::single();
+        let loaders = [
+            PanelLoader {
+                data: &input,
+                image_stride: image,
+                layout: PanelLayout::VirtualColumns(&params),
+            },
+            PanelLoader {
+                data: &matrices,
+                image_stride: k * n,
+                layout: PanelLayout::RowMajor { ldb: n, n },
+            },
+        ];
+        for loader in loaders {
+            let stride = m * n + 5;
+            let mut batched = vec![f32::NAN; images * stride];
+            gemm_prepacked_a_images(
+                GemmKernel::Packed,
+                &pool,
+                &pw,
+                &loader,
+                images,
+                &mut batched,
+                n,
+                stride,
+                0.0,
+            );
+            for img in 0..images {
+                let one = PanelLoader {
+                    data: &loader.data[img * loader.image_stride..],
+                    ..loader
+                };
+                let mut single = vec![f32::NAN; m * n];
+                gemm_prepacked_a_images(
+                    GemmKernel::Packed,
+                    &pool,
+                    &pw,
+                    &one,
+                    1,
+                    &mut single,
+                    n,
+                    0,
+                    0.0,
+                );
+                assert_eq!(
+                    single,
+                    &batched[img * stride..][..m * n],
+                    "{} image {img}",
+                    loader.name()
+                );
+            }
         }
     }
 

@@ -150,6 +150,16 @@ impl Conv2dParams {
         self.groups == self.in_channels && self.in_channels == self.out_channels && self.groups > 1
     }
 
+    /// Whether this is a pointwise convolution: 1x1 kernel, stride 1, no
+    /// padding. Its input planes already are the GEMM operand, so GEMM
+    /// convolution has no lowering cost at all. (Dilation is irrelevant to a
+    /// single tap.)
+    pub fn is_pointwise(&self) -> bool {
+        (self.kernel_h, self.kernel_w) == (1, 1)
+            && (self.stride_h, self.stride_w) == (1, 1)
+            && (self.pad_h, self.pad_w) == (0, 0)
+    }
+
     /// Output height for an input of height `in_h`.
     pub fn out_h(&self, in_h: usize) -> usize {
         conv_out_dim(
@@ -210,9 +220,11 @@ pub(crate) fn conv_out_dim(
 pub enum ConvAlgorithm {
     /// Naive direct convolution — seven nested loops.
     Direct,
-    /// im2col lowering followed by GEMM at the given kernel tier.
-    /// Pointwise (1x1, stride 1, unpadded) convolutions skip the
-    /// column-matrix copy.
+    /// GEMM convolution at the given kernel tier. The packed tiers run it as
+    /// implicit GEMM — operand panels gathered straight from the image, no
+    /// column matrix; the naive/blocked tiers lower through `im2col`.
+    /// Pointwise (1x1, stride 1, unpadded) inputs are the operand as they
+    /// stand, at every tier.
     Im2colGemm(GemmKernel),
     /// im2col + GEMM that **always** materializes the column matrix, even
     /// for pointwise convolutions — the behaviour of eager unfold-based
@@ -276,11 +288,12 @@ impl fmt::Display for ConvAlgorithm {
 enum Prepared {
     /// No preprocessing needed.
     Plain,
-    /// im2col-GEMM: each group's `[cog x k]` weight matrix packed into GEMM
-    /// micro-panels, so the run loop packs only the activation operand.
-    /// Built for the `Packed`/`PackedScalar` tiers; the eager variant and
-    /// the naive/blocked tiers keep the unpacked path to preserve the
-    /// framework behaviour class they model.
+    /// GEMM convolution: each group's `[cog x k]` weight matrix packed into
+    /// GEMM micro-panels, so the run loop loads only the activation operand.
+    /// Built for the `Packed`/`PackedScalar` tiers of both variants (the
+    /// eager one still materialises its column matrix first); the
+    /// naive/blocked tiers multiply the raw weights to preserve the framework
+    /// behaviour class they model.
     Gemm(Vec<orpheus_gemm::PackedWeights>),
     /// Spatial pack: weights repacked into `[co_tile][ci][ky][kx][VC]`.
     SpatialPack(spatial_pack::PackedWeights),
@@ -341,7 +354,8 @@ impl Conv2d {
             )));
         }
         let prepared = match algorithm {
-            ConvAlgorithm::Im2colGemm(GemmKernel::Packed | GemmKernel::PackedScalar) => {
+            ConvAlgorithm::Im2colGemm(GemmKernel::Packed | GemmKernel::PackedScalar)
+            | ConvAlgorithm::Im2colGemmEager(GemmKernel::Packed | GemmKernel::PackedScalar) => {
                 Prepared::Gemm(im2col_gemm::prepack_weights(&params, &weight))
             }
             ConvAlgorithm::SpatialPack if !params.is_depthwise() => {
@@ -457,32 +471,20 @@ impl Conv2d {
             (ConvAlgorithm::Direct, _) => {
                 direct::conv2d_direct_into(&self.params, input, &self.weight, output, pool)
             }
-            (ConvAlgorithm::Im2colGemm(kernel), Prepared::Gemm(packed)) => {
-                im2col_gemm::conv2d_im2col_prepacked_into(
-                    &self.params,
-                    input,
-                    packed,
-                    output,
-                    *kernel,
-                    pool,
-                )
-            }
-            (ConvAlgorithm::Im2colGemm(kernel), _) => im2col_gemm::conv2d_im2col_into(
+            (
+                ConvAlgorithm::Im2colGemm(kernel) | ConvAlgorithm::Im2colGemmEager(kernel),
+                prepared,
+            ) => im2col_gemm::conv2d_im2col_into(
                 &self.params,
                 input,
                 &self.weight,
+                match prepared {
+                    Prepared::Gemm(packed) => Some(packed),
+                    _ => None,
+                },
                 output,
                 *kernel,
-                false,
-                pool,
-            ),
-            (ConvAlgorithm::Im2colGemmEager(kernel), _) => im2col_gemm::conv2d_im2col_into(
-                &self.params,
-                input,
-                &self.weight,
-                output,
-                *kernel,
-                true,
+                matches!(self.algorithm, ConvAlgorithm::Im2colGemmEager(_)),
                 pool,
             ),
             (ConvAlgorithm::SpatialPack, Prepared::SpatialPack(packed)) => {
@@ -505,24 +507,28 @@ impl Conv2d {
         Ok(())
     }
 
-    /// Applies bias and fused activation in one pass over the output.
+    /// Applies bias and fused activation in one pass over the output, one
+    /// channel plane at a time.
     fn finish(&self, output: &mut Tensor) {
+        if self.bias.is_none() && self.activation.is_none() {
+            return;
+        }
         let dims = output.dims();
-        let (n, co, plane) = (dims[0], dims[1], dims[2] * dims[3]);
-        let data = output.as_mut_slice();
-        if let Some(bias) = &self.bias {
-            let b = bias.as_slice();
-            for img in 0..n {
-                for (c, &bc) in b.iter().enumerate() {
-                    let start = (img * co + c) * plane;
-                    for x in &mut data[start..start + plane] {
-                        *x += bc;
-                    }
+        let (co, plane) = (dims[1], dims[2] * dims[3]);
+        if plane == 0 {
+            return;
+        }
+        let bias = self.bias.as_ref().map(Tensor::as_slice);
+        for (p, data) in output.as_mut_slice().chunks_exact_mut(plane).enumerate() {
+            if let Some(b) = bias {
+                let bc = b[p % co];
+                for x in data.iter_mut() {
+                    *x += bc;
                 }
             }
-        }
-        if let Some(act) = self.activation {
-            act.apply_slice(data);
+            if let Some(act) = self.activation {
+                act.apply_slice(data);
+            }
         }
     }
 }

@@ -21,6 +21,11 @@ echo "== forced-scalar differential lane (ORPHEUS_FORCE_SCALAR=1) =="
 # the scalar path keeps its own green proof on every host.
 ORPHEUS_FORCE_SCALAR=1 cargo test -q -p orpheus-gemm --test simd_parity
 ORPHEUS_FORCE_SCALAR=1 cargo test -q -p orpheus --test simd_differential
+# The panel-loader oracles (virtual-column panels byte-identical to packed
+# im2col; implicit-GEMM conv vs Direct and bit-for-bit vs the eager variant)
+# under the scalar micro-kernel too.
+ORPHEUS_FORCE_SCALAR=1 cargo test -q -p orpheus-gemm --lib packed::prepacked_tests
+ORPHEUS_FORCE_SCALAR=1 cargo test -q -p orpheus-ops --lib conv::im2col_gemm
 
 echo "== pass-pipeline sanitizer (debug assertions) =="
 # Debug builds run the orpheus-verify sanitizer after every simplification

@@ -23,7 +23,7 @@ echo "== Ablation: graph simplification =="
 $CLI simplify --model resnet18 --hw 224 --repeats 3 | tee results/simplify_resnet18.txt
 $CLI simplify --model mobilenet --hw 224 --repeats 3 | tee results/simplify_mobilenet.txt
 echo "== Ablation: conv algorithm sweep (calibrates the heuristic) =="
-$CLI sweep --channels 16,32,64,128,256 --hws 8,16,32,56 > results/conv_sweep.csv
+$CLI sweep --channels 3,8,16,32,64,128,256 --hws 8,16,32,56 > results/conv_sweep.csv
 echo "wrote results/conv_sweep.csv"
 echo "== Ablation: selection policy =="
 $CLI policy --model resnet18 --repeats 3 | tee results/policy_resnet18.txt
