@@ -348,10 +348,41 @@ fn measured_perf_rating(personality: Personality) -> Result<u8, EngineError> {
     })
 }
 
+/// One MobileNetV1 depthwise layer of the EXP-F2b ablation.
+#[derive(Debug, Clone)]
+pub struct DepthwiseLayerRow {
+    /// Channels (= groups).
+    pub channels: usize,
+    /// Stride (both dimensions).
+    pub stride: usize,
+    /// Input feature-map side.
+    pub input_hw: usize,
+    /// Multiply-add FLOPs of the layer.
+    pub flops: u64,
+    /// Fastest pass under the dedicated depthwise kernel, microseconds.
+    pub dedicated_us: f64,
+    /// Fastest pass under the generic im2col+GEMM path, microseconds.
+    pub generic_us: f64,
+}
+
+impl DepthwiseLayerRow {
+    /// Achieved GFLOP/s of the dedicated kernel.
+    pub fn dedicated_gflops(&self) -> f64 {
+        self.flops as f64 / (self.dedicated_us * 1e3)
+    }
+
+    /// Achieved GFLOP/s of the generic path.
+    pub fn generic_gflops(&self) -> f64 {
+        self.flops as f64 / (self.generic_us * 1e3)
+    }
+}
+
 /// EXP-F2b: per-layer depthwise comparison on MobileNetV1 — the paper's
 /// explanation for PyTorch's poor MobileNet result.
 #[derive(Debug, Clone)]
 pub struct DepthwiseReport {
+    /// One row per depthwise layer, in network order.
+    pub layers: Vec<DepthwiseLayerRow>,
     /// Total time in depthwise convolutions under `orpheus`.
     pub orpheus_depthwise_ms: f64,
     /// Total time in depthwise convolutions under `pytorch-sim`.
@@ -359,6 +390,11 @@ pub struct DepthwiseReport {
     /// Slowdown factor.
     pub slowdown: f64,
 }
+
+/// Timed passes per layer and path in [`run_depthwise_ablation`]; the
+/// fastest is reported, since a 30 µs layer is inside timer and scheduler
+/// noise at a handful of samples and noise only ever adds time.
+pub const DEPTHWISE_PASSES: usize = 20;
 
 /// MobileNetV1's 13 depthwise layers as (channels, stride, input_hw-divisor)
 /// triples: the feature map entering block `i` is `input / divisor`.
@@ -381,7 +417,8 @@ pub const MOBILENET_DEPTHWISE: [(usize, usize, usize); 13] = [
 /// Runs the depthwise ablation at the given MobileNet input size: each of
 /// the 13 depthwise layers is timed under the dedicated depthwise kernel
 /// (what Orpheus and TVM use) and under the generic im2col+GEMM path (what
-/// the paper observed in PyTorch).
+/// the paper observed in PyTorch), as the fastest of [`DEPTHWISE_PASSES`]
+/// passes after a warm-up.
 ///
 /// # Errors
 ///
@@ -393,7 +430,7 @@ pub fn run_depthwise_ablation(
     use orpheus_ops::conv::{Conv2d, Conv2dParams, ConvAlgorithm};
     let pool = orpheus_threads::ThreadPool::new(threads)
         .map_err(|e| EngineError::Config(e.to_string()))?;
-    let mut totals = [0.0f64; 2];
+    let mut layers = Vec::with_capacity(MOBILENET_DEPTHWISE.len());
     for &(channels, stride, divisor) in &MOBILENET_DEPTHWISE {
         let hw = (input_hw / divisor).max(3);
         let params = Conv2dParams::depthwise(channels, 3)
@@ -401,30 +438,35 @@ pub fn run_depthwise_ablation(
             .with_padding(1, 1);
         let weight = Tensor::full(&params.weight_dims(), 0.01);
         let input = Tensor::full(&[1, channels, hw, hw], 0.5);
-        for (i, algo) in [
-            ConvAlgorithm::DepthwiseDirect,
-            ConvAlgorithm::Im2colGemmEager(orpheus_gemm::GemmKernel::Blocked),
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        let fastest_us = |algo| -> Result<f64, EngineError> {
             let conv = Conv2d::new(params, weight.clone(), None, algo)?;
-            conv.run(&input, &pool)?; // warm-up
-                                      // Median of three passes per layer keeps the report stable.
-            let mut samples = [0.0f64; 3];
-            for s in &mut samples {
+            let mut output = conv.run(&input, &pool)?; // warm-up
+            let mut best = f64::INFINITY;
+            for _ in 0..DEPTHWISE_PASSES {
                 let start = Instant::now();
-                conv.run(&input, &pool)?;
-                *s = start.elapsed().as_secs_f64() * 1e3;
+                conv.run_into(&input, &mut output, &pool)?;
+                best = best.min(start.elapsed().as_secs_f64() * 1e6);
             }
-            samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            totals[i] += samples[1];
-        }
+            Ok(best)
+        };
+        layers.push(DepthwiseLayerRow {
+            channels,
+            stride,
+            input_hw: hw,
+            flops: params.flops(hw, hw),
+            dedicated_us: fastest_us(ConvAlgorithm::DepthwiseDirect)?,
+            generic_us: fastest_us(ConvAlgorithm::Im2colGemmEager(
+                orpheus_gemm::GemmKernel::Blocked,
+            ))?,
+        });
     }
+    let orpheus_depthwise_ms = layers.iter().map(|l| l.dedicated_us).sum::<f64>() / 1e3;
+    let pytorch_depthwise_ms = layers.iter().map(|l| l.generic_us).sum::<f64>() / 1e3;
     Ok(DepthwiseReport {
-        orpheus_depthwise_ms: totals[0],
-        pytorch_depthwise_ms: totals[1],
-        slowdown: totals[1] / totals[0].max(1e-9),
+        layers,
+        orpheus_depthwise_ms,
+        pytorch_depthwise_ms,
+        slowdown: pytorch_depthwise_ms / orpheus_depthwise_ms.max(1e-9),
     })
 }
 

@@ -40,7 +40,7 @@ use orpheus_cli::{
     bench_filename, compare, profile_model, run_bench, run_depthwise_ablation, run_figure2,
     run_layer_profile, run_layer_sweep, run_repeat, run_simplify_ablation, run_table1,
     run_traced_profile, with_recording, BenchConfig, BenchReport, CompareBudgets, Figure2Config,
-    InputScale,
+    InputScale, DEPTHWISE_PASSES,
 };
 use orpheus_graph::passes::PassManager;
 use orpheus_models::{build_model, ModelKind};
@@ -367,7 +367,27 @@ fn run(argv: &[String]) -> Result<(), String> {
             let hw = args.usize_or("--hw", 224)?;
             let report = run_depthwise_ablation(hw, args.usize_or("--threads", 1)?)
                 .map_err(|e| e.to_string())?;
-            println!("MobileNetV1 depthwise layers at {hw}x{hw} input (13 layers, 1 pass):");
+            println!(
+                "MobileNetV1 depthwise layers at {hw}x{hw} input \
+                 (13 layers, fastest of {DEPTHWISE_PASSES} passes each):"
+            );
+            println!(
+                "  {:<18} {:>12} {:>9} {:>12} {:>9}",
+                "layer", "dedicated us", "GFLOP/s", "generic us", "GFLOP/s"
+            );
+            for l in &report.layers {
+                println!(
+                    "  {:<18} {:>12.1} {:>9.2} {:>12.1} {:>9.2}",
+                    format!(
+                        "{}ch {}x{} s{}",
+                        l.channels, l.input_hw, l.input_hw, l.stride
+                    ),
+                    l.dedicated_us,
+                    l.dedicated_gflops(),
+                    l.generic_us,
+                    l.generic_gflops()
+                );
+            }
             println!(
                 "  dedicated depthwise kernel (Orpheus/TVM): {:8.2} ms",
                 report.orpheus_depthwise_ms

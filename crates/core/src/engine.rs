@@ -146,6 +146,9 @@ impl EngineBuilder {
     /// the process-wide dispatch decided — `false` on SIMD-capable hosts,
     /// `true` when the host lacks AVX2+FMA or `ORPHEUS_FORCE_SCALAR=1` is
     /// set (so the env lane flows through the builder automatically).
+    ///
+    /// The depthwise stencil is not a GEMM tier: it follows the process-wide
+    /// dispatch, which only `ORPHEUS_FORCE_SCALAR` overrides.
     pub fn force_scalar(mut self, force: bool) -> Self {
         self.force_scalar = Some(force);
         self

@@ -26,7 +26,7 @@ use crate::layers::native::{
 };
 use crate::layers::third_party::{VclConvLayer, VnnlConvLayer};
 use crate::plan::plan_memory;
-use crate::selection::SelectionPolicy;
+use crate::selection::{supported_or_fallback, SelectionPolicy};
 
 /// One executable step: a layer plus its slot wiring.
 pub(crate) struct PlanStep {
@@ -594,16 +594,13 @@ fn choose_conv_algorithm(
 ) -> ConvAlgorithm {
     let chosen = match engine.policy() {
         SelectionPolicy::Fixed(algo) => {
-            if params.is_depthwise() && !engine.personality().depthwise_uses_generic_path() {
+            let dedicated = ConvAlgorithm::DepthwiseDirect;
+            if dedicated.supports(params) && !engine.personality().depthwise_uses_generic_path() {
                 // Efficient frameworks route depthwise to the dedicated
                 // kernel regardless of their main conv algorithm.
-                ConvAlgorithm::DepthwiseDirect
-            } else if algo.supports(params) {
-                algo
-            } else if params.is_depthwise() {
-                ConvAlgorithm::DepthwiseDirect
+                dedicated
             } else {
-                ConvAlgorithm::Im2colGemm(GemmKernel::Packed)
+                supported_or_fallback(algo, params)
             }
         }
         policy => policy.select(params, h, w, engine.pool()),

@@ -23,8 +23,9 @@ use orpheus_threads::ThreadPool;
 /// How the engine chooses a convolution implementation per layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectionPolicy {
-    /// Always use this algorithm (depthwise layers fall back to
-    /// `DepthwiseDirect` when the algorithm cannot run them).
+    /// Always use this algorithm (layers it cannot run fall back: depthwise
+    /// ones to `DepthwiseDirect`, the rest — and depthwise kernels past
+    /// `DEPTHWISE_MAX_TAPS` — to im2col-GEMM).
     Fixed(ConvAlgorithm),
     /// Choose by layer geometry.
     #[default]
@@ -51,15 +52,18 @@ impl SelectionPolicy {
             SelectionPolicy::Heuristic => heuristic(params),
             SelectionPolicy::AutoTune { trials } => auto_tune(params, h, w, pool, trials.max(1)),
         };
-        // Guarantee applicability regardless of policy.
-        if chosen.supports(params) {
-            chosen
-        } else if params.is_depthwise() {
-            ConvAlgorithm::DepthwiseDirect
-        } else {
-            ConvAlgorithm::default()
-        }
+        supported_or_fallback(chosen, params)
     }
+}
+
+/// Guarantees applicability regardless of policy: `chosen` if it can run
+/// `params`, else the dedicated depthwise kernel if that can, else
+/// im2col-GEMM, which runs everything.
+pub(crate) fn supported_or_fallback(chosen: ConvAlgorithm, params: &Conv2dParams) -> ConvAlgorithm {
+    [chosen, ConvAlgorithm::DepthwiseDirect]
+        .into_iter()
+        .find(|algo| algo.supports(params))
+        .unwrap_or_default()
 }
 
 /// Geometry rule calibrated against the `orpheus-cli sweep` measurements on
@@ -72,11 +76,7 @@ impl SelectionPolicy {
 /// So the paper's "GEMM pays off for big matrices" holds for every dense
 /// geometry here, and only depthwise keeps its own kernel.
 fn heuristic(params: &Conv2dParams) -> ConvAlgorithm {
-    if params.is_depthwise() {
-        ConvAlgorithm::DepthwiseDirect
-    } else {
-        ConvAlgorithm::default()
-    }
+    supported_or_fallback(ConvAlgorithm::DepthwiseDirect, params)
 }
 
 /// Candidate set for auto-tuning a given geometry.
@@ -151,6 +151,7 @@ fn auto_tune(
 mod tests {
     use super::*;
     use orpheus_gemm::GemmKernel;
+    use orpheus_ops::conv::DEPTHWISE_MAX_TAPS;
 
     #[test]
     fn fixed_policy_respects_choice() {
@@ -203,6 +204,36 @@ mod tests {
             SelectionPolicy::Heuristic.select(&dw, 14, 14, &ThreadPool::single()),
             ConvAlgorithm::DepthwiseDirect
         );
+    }
+
+    #[test]
+    fn depthwise_past_the_tap_cap_falls_back_to_gemm() {
+        // 7x7 = 49 taps is the dedicated kernel's cap; 7x8 is past it and
+        // must land on im2col-GEMM whatever the policy asked for.
+        let at_cap = Conv2dParams::depthwise(8, 7);
+        let past_cap = Conv2dParams {
+            kernel_w: 8,
+            ..at_cap
+        };
+        assert_eq!(at_cap.kernel_h * at_cap.kernel_w, DEPTHWISE_MAX_TAPS);
+        let pool = ThreadPool::single();
+        assert_eq!(
+            SelectionPolicy::Heuristic.select(&at_cap, 16, 16, &pool),
+            ConvAlgorithm::DepthwiseDirect
+        );
+        for policy in [
+            SelectionPolicy::Heuristic,
+            SelectionPolicy::Fixed(ConvAlgorithm::DepthwiseDirect),
+            SelectionPolicy::Fixed(ConvAlgorithm::SpatialPack),
+            SelectionPolicy::Fixed(ConvAlgorithm::Winograd),
+        ] {
+            assert_eq!(
+                policy.select(&past_cap, 16, 16, &pool),
+                ConvAlgorithm::Im2colGemm(GemmKernel::Packed),
+                "{policy:?}"
+            );
+        }
+        assert!(!candidates(&past_cap).contains(&ConvAlgorithm::DepthwiseDirect));
     }
 
     #[test]

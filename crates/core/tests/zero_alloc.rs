@@ -101,6 +101,13 @@ fn lenet5_steady_state_is_allocation_free() {
     assert_model_steady_state_zero_alloc(ModelKind::LeNet5);
 }
 
+/// The one zoo model with depthwise layers: their padded-plane scratch comes
+/// from the TLS pool and their tap-offset table lives on the stack.
+#[test]
+fn mobilenetv1_steady_state_is_allocation_free() {
+    assert_model_steady_state_zero_alloc(ModelKind::MobileNetV1);
+}
+
 /// `Pad` and `ReduceMean` are absent from the simplified zoo (`pad-fold`
 /// absorbs the former, exporters' `GlobalAveragePool` replaces the latter),
 /// so this graph — loaded with simplification off so the `Pad` survives —

@@ -35,8 +35,9 @@ use std::sync::OnceLock;
 
 use crate::packed::{MR, NR};
 
-/// An `MR x NR` register-tiled GEMM micro-kernel plus the dot-product core
-/// used by the narrow-output path.
+/// An `MR x NR` register-tiled GEMM micro-kernel, the dot-product core
+/// used by the narrow-output path, and the register-accumulated stencil the
+/// depthwise convolution runs on.
 ///
 /// Implementations are stateless; [`active_kernel`] and [`scalar_kernel`]
 /// hand out `'static` references. Panel layouts are those produced by the
@@ -84,6 +85,66 @@ pub trait MicroKernel: Send + Sync {
     /// Dot product of two equal-length vectors, the core of the
     /// narrow-output (`n < SMALL_N`) GEMM path.
     fn dot(&self, a: &[f32], b: &[f32]) -> f32;
+
+    /// Border-free stencil over one plane, `oh = out.len() / ow` rows of
+    /// `ow` outputs:
+    ///
+    /// `out[y·ow + x] = clamp(bias + Σ_t weights[t] · src[y·row_step + offsets[t] + x], lo, hi)`
+    ///
+    /// Every tap is accumulated in registers and each output is stored
+    /// once. `src` is the caller's zero-bordered plane, so no tap needs a
+    /// bounds decision; pass `(f32::NEG_INFINITY, f32::INFINITY)` for no
+    /// clamp (NaN propagates either way).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ow == 0`, `out.len()` is not a multiple of `ow`,
+    /// `offsets` and `weights` differ in length, or `src` is shorter than
+    /// the furthest read, `(oh - 1)·row_step + max(offsets) + ow` (nothing
+    /// is read when there is no output row or no tap).
+    #[allow(clippy::too_many_arguments)]
+    fn stencil_plane(
+        &self,
+        src: &[f32],
+        row_step: usize,
+        offsets: &[usize],
+        weights: &[f32],
+        bias: f32,
+        clamp: (f32, f32),
+        out: &mut [f32],
+        ow: usize,
+    );
+}
+
+/// The bounds contract of [`MicroKernel::stencil_plane`], asserted by every
+/// implementation before it touches `src`: the AVX2 body reads through raw
+/// pointers and relies on exactly this.
+fn assert_stencil_bounds(
+    src: &[f32],
+    row_step: usize,
+    offsets: &[usize],
+    weights: &[f32],
+    out: &[f32],
+    ow: usize,
+) {
+    assert!(ow > 0, "stencil output width must be positive");
+    assert!(
+        out.len().is_multiple_of(ow),
+        "stencil output is not whole rows"
+    );
+    assert_eq!(offsets.len(), weights.len(), "one weight per tap offset");
+    let oh = out.len() / ow;
+    // Nothing is read without an output row or without a tap.
+    let (Some(last_row), Some(&off)) = (oh.checked_sub(1), offsets.iter().max()) else {
+        return;
+    };
+    let furthest = last_row
+        .checked_mul(row_step)
+        .and_then(|start| start.checked_add(off)?.checked_add(ow));
+    assert!(
+        furthest.is_some_and(|end| end <= src.len()),
+        "stencil src too short for its furthest tap"
+    );
 }
 
 /// Portable scalar micro-kernel: fixed-size local accumulator arrays the
@@ -176,6 +237,58 @@ impl MicroKernel for ScalarKernel {
         }
         acc[0] + acc[1] + acc[2] + acc[3] + tail
     }
+
+    fn stencil_plane(
+        &self,
+        src: &[f32],
+        row_step: usize,
+        offsets: &[usize],
+        weights: &[f32],
+        bias: f32,
+        (lo, hi): (f32, f32),
+        out: &mut [f32],
+        ow: usize,
+    ) {
+        // One fixed-size lane array per output chunk so the tap loop
+        // autovectorizes with the accumulator held in registers.
+        const LANES: usize = 8;
+        assert_stencil_bounds(src, row_step, offsets, weights, out, ow);
+        // Comparisons, not `f32::max`/`min`: NaN stays NaN.
+        let clamp = |v: f32| {
+            if v < lo {
+                lo
+            } else if v > hi {
+                hi
+            } else {
+                v
+            }
+        };
+        for (y, out_row) in out.chunks_exact_mut(ow).enumerate() {
+            let rows = &src[y * row_step..];
+            let mut chunks = out_row.chunks_exact_mut(LANES);
+            let mut x = 0;
+            for chunk in &mut chunks {
+                let mut acc = [bias; LANES];
+                for (&off, &w) in offsets.iter().zip(weights) {
+                    let s = &rows[off + x..off + x + LANES];
+                    for (a, &v) in acc.iter_mut().zip(s) {
+                        *a += w * v;
+                    }
+                }
+                for (o, &a) in chunk.iter_mut().zip(&acc) {
+                    *o = clamp(a);
+                }
+                x += LANES;
+            }
+            for (i, o) in chunks.into_remainder().iter_mut().enumerate() {
+                let mut acc = bias;
+                for (&off, &w) in offsets.iter().zip(weights) {
+                    acc += w * rows[off + x + i];
+                }
+                *o = clamp(acc);
+            }
+        }
+    }
 }
 
 /// AVX2 + FMA micro-kernel: each register-tile row is two `__m256`
@@ -246,6 +359,23 @@ impl MicroKernel for Avx2Kernel {
         // both slice lengths, which is `avx2::dot`'s bounds contract.
         unsafe { avx2::dot(&a[..k], &b[..k]) }
     }
+
+    fn stencil_plane(
+        &self,
+        src: &[f32],
+        row_step: usize,
+        offsets: &[usize],
+        weights: &[f32],
+        bias: f32,
+        clamp: (f32, f32),
+        out: &mut [f32],
+        ow: usize,
+    ) {
+        assert_stencil_bounds(src, row_step, offsets, weights, out, ow);
+        // SAFETY: AVX2+FMA availability as in `tile_full`;
+        // `assert_stencil_bounds` is `avx2::stencil_plane`'s bounds contract.
+        unsafe { avx2::stencil_plane(src, row_step, offsets, weights, bias, clamp, out, ow) }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -254,8 +384,9 @@ mod avx2 {
     //! FMA are available on the running CPU.
 
     use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
+        __m256, __m256i, _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_loadu_si256,
+        _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_max_ps, _mm256_min_ps, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_storeu_ps,
     };
 
     use crate::packed::{MR, NR};
@@ -397,6 +528,148 @@ mod avx2 {
         }
         total
     }
+
+    /// Output rows the stencil accumulates side by side: one broadcast of a
+    /// tap weight feeds this many independent FMA chains.
+    const STENCIL_ROWS: usize = 4;
+
+    /// Lane masks for a ragged last vector: the 8 lanes loaded from index
+    /// `8 - rem` have their first `rem` lanes set.
+    static TAIL_MASK: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+    /// The stencil of [`super::MicroKernel::stencil_plane`]: blocks of
+    /// `STENCIL_ROWS` output rows by one 8-lane vector, every tap
+    /// accumulated in registers, one (masked, on the ragged last vector of a
+    /// row) store per output vector.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA, and `super::assert_stencil_bounds`
+    /// must hold for the arguments: `ow > 0`, `out` is `oh` whole rows of
+    /// `ow`, `offsets.len() == weights.len()`, and
+    /// `(oh - 1) * row_step + max(offsets) + ow <= src.len()`. Under that
+    /// contract no lane is read outside `src` or written outside `out`:
+    /// full vectors cover columns `x..x + 8` with `x + 8 <= ow`, and the
+    /// ragged tail goes through `maskload`/`maskstore`, which do not access
+    /// masked-off lanes.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn stencil_plane(
+        src: &[f32],
+        row_step: usize,
+        offsets: &[usize],
+        weights: &[f32],
+        bias: f32,
+        (lo, hi): (f32, f32),
+        out: &mut [f32],
+        ow: usize,
+    ) {
+        let oh = out.len() / ow;
+        let bounds = (_mm256_set1_ps(lo), _mm256_set1_ps(hi));
+        let mut y = 0;
+        while y + STENCIL_ROWS <= oh {
+            // SAFETY: rows `y..y + STENCIL_ROWS` are below `oh`, so both
+            // pointers stay inside their slices and the callee's contract
+            // follows from this function's.
+            unsafe {
+                stencil_rows::<STENCIL_ROWS>(
+                    src.as_ptr().add(y * row_step),
+                    row_step,
+                    offsets,
+                    weights,
+                    bias,
+                    bounds,
+                    out.as_mut_ptr().add(y * ow),
+                    ow,
+                );
+            }
+            y += STENCIL_ROWS;
+        }
+        while y < oh {
+            // SAFETY: as above, for the single row `y < oh`.
+            unsafe {
+                stencil_rows::<1>(
+                    src.as_ptr().add(y * row_step),
+                    row_step,
+                    offsets,
+                    weights,
+                    bias,
+                    bounds,
+                    out.as_mut_ptr().add(y * ow),
+                    ow,
+                );
+            }
+            y += 1;
+        }
+    }
+
+    /// `R` consecutive output rows of the stencil, `src`/`out` pointing at
+    /// the first of them.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA. For every `r < R`, tap offset
+    /// `off` and column `x < ow`, `src + r * row_step + off + x` must be
+    /// readable and `out + r * ow + x` writable; `offsets` and `weights`
+    /// must be the same length.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn stencil_rows<const R: usize>(
+        src: *const f32,
+        row_step: usize,
+        offsets: &[usize],
+        weights: &[f32],
+        bias: f32,
+        (lo, hi): (__m256, __m256),
+        out: *mut f32,
+        ow: usize,
+    ) {
+        let seed = _mm256_set1_ps(bias);
+        // `max(lo, acc)` / `min(hi, ..)` in this operand order return the
+        // accumulator when it is NaN, so NaN propagates like the scalar
+        // kernel's comparisons.
+        let clamp = |acc: __m256| _mm256_min_ps(hi, _mm256_max_ps(lo, acc));
+        let mut x = 0;
+        while x + 8 <= ow {
+            let mut acc = [seed; R];
+            for (&off, &w) in offsets.iter().zip(weights) {
+                let wv = _mm256_set1_ps(w);
+                for (r, a) in acc.iter_mut().enumerate() {
+                    // SAFETY: row `r < R`, columns `x..x + 8` within `ow`:
+                    // readable by this function's contract.
+                    let v = unsafe { _mm256_loadu_ps(src.add(r * row_step + off + x)) };
+                    *a = _mm256_fmadd_ps(wv, v, *a);
+                }
+            }
+            for (r, &a) in acc.iter().enumerate() {
+                // SAFETY: row `r < R`, columns `x..x + 8` within `ow`.
+                unsafe { _mm256_storeu_ps(out.add(r * ow + x), clamp(a)) };
+            }
+            x += 8;
+        }
+        let rem = ow - x;
+        if rem > 0 {
+            // SAFETY: `8 - rem` is in `1..8`, so the 8 lanes read from the
+            // 16-entry table are in bounds.
+            let mask =
+                unsafe { _mm256_loadu_si256(TAIL_MASK.as_ptr().add(8 - rem) as *const __m256i) };
+            let mut acc = [seed; R];
+            for (&off, &w) in offsets.iter().zip(weights) {
+                let wv = _mm256_set1_ps(w);
+                for (r, a) in acc.iter_mut().enumerate() {
+                    // SAFETY: only the first `rem` lanes (columns
+                    // `x..ow`) are accessed; the rest are masked off.
+                    let v = unsafe { _mm256_maskload_ps(src.add(r * row_step + off + x), mask) };
+                    *a = _mm256_fmadd_ps(wv, v, *a);
+                }
+            }
+            for (r, &a) in acc.iter().enumerate() {
+                // SAFETY: masked to columns `x..ow` of row `r < R`.
+                unsafe { _mm256_maskstore_ps(out.add(r * ow + x), mask, clamp(a)) };
+            }
+        }
+    }
 }
 
 static SCALAR: ScalarKernel = ScalarKernel;
@@ -509,6 +782,36 @@ mod tests {
         }
         let want = acc[0] + acc[1] + acc[2] + acc[3] + tail;
         assert_eq!(scalar_kernel().dot(&a, &b), want);
+    }
+
+    #[test]
+    fn scalar_stencil_matches_the_formula() {
+        // 3 rows of 11 outputs (one 8-lane chunk and a 3-wide tail), rows
+        // 20 apart in `src`, three taps, clamped to [-1, 2].
+        let (ow, row_step, offsets, weights) = (11, 20, [0, 3, 21], [0.5, -1.25, 2.0]);
+        let src: Vec<f32> = (0..2 * row_step + 21 + ow)
+            .map(|i| ((i * 7 % 13) as f32) * 0.3 - 1.5)
+            .collect();
+        let mut out = vec![f32::NAN; 3 * ow];
+        scalar_kernel().stencil_plane(
+            &src,
+            row_step,
+            &offsets,
+            &weights,
+            0.25,
+            (-1.0, 2.0),
+            &mut out,
+            ow,
+        );
+        for y in 0..3 {
+            for x in 0..ow {
+                let mut want = 0.25f32;
+                for (off, w) in offsets.iter().zip(weights) {
+                    want += w * src[y * row_step + off + x];
+                }
+                assert_eq!(out[y * ow + x], want.clamp(-1.0, 2.0), "({y}, {x})");
+            }
+        }
     }
 
     #[test]

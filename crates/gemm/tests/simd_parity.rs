@@ -211,6 +211,92 @@ fn prepacked_b_parity_across_tiers() {
     }
 }
 
+/// One stencil problem on both kernels: `taps` offsets scattered over a
+/// `src` whose rows are `row_step` apart (wider than `ow`, so a kernel that
+/// confuses the two strides reads the wrong rows).
+fn stencil_case(taps: usize, ow: usize, clamp: (f32, f32)) {
+    let (oh, row_step) = (6, ow + 11);
+    let offsets: Vec<usize> = (0..taps).map(|t| (t * 7) % (2 * row_step + 5)).collect();
+    let weights = matrix(taps, 0x57e4 + taps as u64);
+    let furthest = (oh - 1) * row_step + offsets.iter().max().unwrap() + ow;
+    let src = matrix(furthest, (taps * 131 + ow) as u64);
+    let run = |mk: &dyn orpheus_gemm::MicroKernel| {
+        // NaN-filled: every output must be written, none skipped.
+        let mut out = vec![f32::NAN; oh * ow];
+        mk.stencil_plane(
+            &src, row_step, &offsets, &weights, 0.125, clamp, &mut out, ow,
+        );
+        out
+    };
+    let simd = run(orpheus_gemm::active_kernel());
+    let scalar = run(orpheus_gemm::scalar_kernel());
+    let what = format!("stencil taps={taps} ow={ow} clamp={clamp:?}");
+    for (i, (&g, &w)) in simd.iter().zip(&scalar).enumerate() {
+        assert!(
+            (g - w).abs() <= 1e-6 * w.abs().max(1.0),
+            "{what}: output {i} diverges: simd={g} scalar={w}"
+        );
+        assert!(
+            clamp.0 <= g && g <= clamp.1,
+            "{what}: {g} escapes the clamp"
+        );
+    }
+}
+
+#[test]
+fn stencil_plane_matches_scalar_across_taps_widths_and_clamps() {
+    // 1..=49 taps (the depthwise cap), output widths through both the 8-
+    // and 16-lane boundaries plus a many-vector row, clamp on and off.
+    for taps in 1..=49 {
+        for ow in (1..=17).chain([64]) {
+            stencil_case(taps, ow, (f32::NEG_INFINITY, f32::INFINITY));
+            stencil_case(taps, ow, (-0.5, 0.75));
+        }
+    }
+}
+
+#[test]
+fn stencil_plane_writes_only_the_rows_it_was_given() {
+    // `out` is the middle of a larger buffer and `ow = 5` ends every row in
+    // a masked vector: a raw-pointer store past a row, or past the slice,
+    // would land in the sentinel rows around it.
+    let (ow, row_step) = (5, 9);
+    let src = matrix(3 * row_step + 2 + ow, 9);
+    let mut out = vec![-7.0f32; 6 * ow];
+    orpheus_gemm::active_kernel().stencil_plane(
+        &src,
+        row_step,
+        &[0, 2],
+        &[0.5, -0.25],
+        0.0,
+        (f32::NEG_INFINITY, f32::INFINITY),
+        &mut out[ow..5 * ow],
+        ow,
+    );
+    assert!(out[..ow].iter().chain(&out[5 * ow..]).all(|&v| v == -7.0));
+    assert!(out[ow..5 * ow].iter().all(|&v| v != -7.0));
+}
+
+#[test]
+#[should_panic(expected = "stencil src too short")]
+fn stencil_plane_rejects_a_short_src_before_touching_it() {
+    // Three rows of 8 outputs, furthest read at 2*10 + 3 + 8 = 31: a
+    // 30-element `src` must be refused by the safe wrapper, on the SIMD
+    // kernel as on the scalar one.
+    let src = vec![0.0f32; 30];
+    let mut out = vec![0.0f32; 24];
+    orpheus_gemm::active_kernel().stencil_plane(
+        &src,
+        10,
+        &[0, 3],
+        &[1.0, 1.0],
+        0.0,
+        (0.0, 6.0),
+        &mut out,
+        8,
+    );
+}
+
 #[test]
 fn dispatch_report_is_consistent() {
     // Whatever the host, the dispatch introspection must be coherent: SIMD

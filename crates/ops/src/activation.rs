@@ -50,6 +50,18 @@ impl Activation {
         }
     }
 
+    /// The `[lo, hi]` interval this activation clamps to, if clamping is all
+    /// it does — what lets a kernel fuse it as a `max`/`min` on its
+    /// accumulator registers.
+    pub fn as_clamp(&self) -> Option<(f32, f32)> {
+        match *self {
+            Activation::Relu => Some((0.0, f32::INFINITY)),
+            Activation::Relu6 => Some((0.0, 6.0)),
+            Activation::Clip { lo, hi } => Some((lo, hi)),
+            Activation::Sigmoid | Activation::Tanh | Activation::LeakyRelu { .. } => None,
+        }
+    }
+
     /// Applies the activation to every element of a slice, in place.
     pub fn apply_slice(&self, data: &mut [f32]) {
         // Monomorphized per variant so the simple clamps vectorize.

@@ -236,8 +236,10 @@ pub enum ConvAlgorithm {
     /// Winograd F(2×2, 3×3). Only valid for 3×3, stride-1, dilation-1,
     /// group-1 convolutions.
     Winograd,
-    /// Specialized direct depthwise kernel. Only valid when
-    /// [`Conv2dParams::is_depthwise`] holds.
+    /// Specialized direct depthwise kernel: a zero-bordered, phase-split
+    /// copy of each plane under a register-accumulated stencil. Only valid
+    /// when [`Conv2dParams::is_depthwise`] holds and the kernel has at most
+    /// [`DEPTHWISE_MAX_TAPS`] taps.
     DepthwiseDirect,
 }
 
@@ -248,14 +250,23 @@ impl Default for ConvAlgorithm {
     }
 }
 
+/// Most kernel taps (`kernel_h * kernel_w`) the dedicated depthwise kernel
+/// takes: its tap-offset table is a stack array of this size, and 7×7 is
+/// the largest depthwise kernel the published mobile architectures use.
+/// Larger depthwise kernels run as grouped GEMM convolution.
+pub const DEPTHWISE_MAX_TAPS: usize = 49;
+
 impl ConvAlgorithm {
     /// Whether the algorithm can execute a convolution with these parameters.
     pub fn supports(&self, params: &Conv2dParams) -> bool {
+        let depthwise_kernel =
+            params.is_depthwise() && params.kernel_h * params.kernel_w <= DEPTHWISE_MAX_TAPS;
         match self {
             ConvAlgorithm::Direct
             | ConvAlgorithm::Im2colGemm(_)
             | ConvAlgorithm::Im2colGemmEager(_) => true,
-            ConvAlgorithm::SpatialPack => params.groups == 1 || params.is_depthwise(),
+            // Depthwise geometry degenerates to the depthwise kernel.
+            ConvAlgorithm::SpatialPack => params.groups == 1 || depthwise_kernel,
             ConvAlgorithm::Winograd => {
                 params.kernel_h == 3
                     && params.kernel_w == 3
@@ -265,7 +276,7 @@ impl ConvAlgorithm {
                     && params.dilation_w == 1
                     && params.groups == 1
             }
-            ConvAlgorithm::DepthwiseDirect => params.is_depthwise(),
+            ConvAlgorithm::DepthwiseDirect => depthwise_kernel,
         }
     }
 }
@@ -490,18 +501,25 @@ impl Conv2d {
             (ConvAlgorithm::SpatialPack, Prepared::SpatialPack(packed)) => {
                 spatial_pack::conv2d_spatial_pack_into(&self.params, input, packed, output, pool)
             }
-            (ConvAlgorithm::SpatialPack, _) => {
-                // Depthwise geometry: spatial pack degenerates to the
-                // dedicated depthwise kernel (as in TVM).
-                depthwise::conv2d_depthwise_into(&self.params, input, &self.weight, output, pool)
+            // Depthwise geometry: spatial pack degenerates to the dedicated
+            // depthwise kernel (as in TVM). The kernel applies bias and
+            // activation itself, so this arm skips `finish`.
+            (ConvAlgorithm::SpatialPack | ConvAlgorithm::DepthwiseDirect, _) => {
+                depthwise::conv2d_depthwise_into(
+                    &self.params,
+                    input,
+                    &self.weight,
+                    self.bias.as_ref(),
+                    self.activation,
+                    output,
+                    pool,
+                );
+                return Ok(());
             }
             (ConvAlgorithm::Winograd, Prepared::Winograd(tw)) => {
                 winograd::conv2d_winograd_into(&self.params, input, tw, output, pool)
             }
             (ConvAlgorithm::Winograd, _) => unreachable!("winograd state prepared in new()"),
-            (ConvAlgorithm::DepthwiseDirect, _) => {
-                depthwise::conv2d_depthwise_into(&self.params, input, &self.weight, output, pool)
-            }
         }
         self.finish(output);
         Ok(())

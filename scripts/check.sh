@@ -26,6 +26,10 @@ ORPHEUS_FORCE_SCALAR=1 cargo test -q -p orpheus --test simd_differential
 # under the scalar micro-kernel too.
 ORPHEUS_FORCE_SCALAR=1 cargo test -q -p orpheus-gemm --lib packed::prepacked_tests
 ORPHEUS_FORCE_SCALAR=1 cargo test -q -p orpheus-ops --lib conv::im2col_gemm
+# The depthwise stencil dispatches on the same micro-kernel: its unit tests
+# and the widened depthwise equivalence property, on the scalar stencil.
+ORPHEUS_FORCE_SCALAR=1 cargo test -q -p orpheus-ops --lib conv::depthwise
+ORPHEUS_FORCE_SCALAR=1 cargo test -q -p orpheus-ops --test conv_equivalence depthwise_algorithms_agree
 
 echo "== pass-pipeline sanitizer (debug assertions) =="
 # Debug builds run the orpheus-verify sanitizer after every simplification
