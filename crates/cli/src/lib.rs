@@ -10,13 +10,6 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod bench;
-
-pub use bench::{
-    bench_filename, compare, resolve_git_sha, run_bench, BenchConfig, BenchReport, CompareBudgets,
-    ModelBench, Regression, SCHEMA_VERSION,
-};
-
 use std::time::Instant;
 
 use orpheus::{Engine, EngineError, Personality, CAPABILITY_CRITERIA};
@@ -849,9 +842,11 @@ mod validation_tests {
     }
 }
 
-/// Multi-run latency statistics in microseconds, summarized from a
-/// log-linear [`Histogram`](orpheus_observe::Histogram). Quantiles carry
-/// the histogram's bounded bucket error (~6%); min/max/mean are exact.
+/// Multi-run latency statistics in microseconds. min/max/mean are always
+/// exact; the quantiles are exact from [`LatencyStats::from_samples`] and
+/// carry the bounded bucket error (~6%) of the log-linear
+/// [`Histogram`](orpheus_observe::Histogram) from
+/// [`LatencyStats::from_histogram`].
 #[derive(Debug, Clone)]
 pub struct LatencyStats {
     /// Samples recorded.
@@ -871,7 +866,29 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Summarizes a latency histogram.
+    /// Exact statistics over raw per-run samples (µs), percentiles by
+    /// nearest rank: the `ceil(q * n)`-th smallest sample. All zeros when
+    /// `samples` is empty.
+    pub fn from_samples(mut samples: Vec<u64>) -> LatencyStats {
+        samples.sort_unstable();
+        let n = samples.len();
+        let nearest_rank = |q: f64| -> u64 {
+            let rank = ((q * n as f64).ceil() as usize).clamp(1, n.max(1));
+            samples.get(rank - 1).copied().unwrap_or(0)
+        };
+        LatencyStats {
+            runs: n as u64,
+            min_us: samples.first().copied().unwrap_or(0),
+            max_us: samples.last().copied().unwrap_or(0),
+            mean_us: samples.iter().sum::<u64>() as f64 / n.max(1) as f64,
+            p50_us: nearest_rank(0.50),
+            p90_us: nearest_rank(0.90),
+            p99_us: nearest_rank(0.99),
+        }
+    }
+
+    /// Summarizes a latency histogram (the process-wide `run.latency_us`
+    /// one, where the raw samples are gone).
     pub fn from_histogram(h: &orpheus_observe::Histogram) -> LatencyStats {
         LatencyStats {
             runs: h.count(),
@@ -884,8 +901,8 @@ impl LatencyStats {
         }
     }
 
-    /// Serializes the stats as a JSON object (microsecond fields, matching
-    /// the `BENCH_*.json` schema's `latency_us` objects).
+    /// Serializes the stats as a JSON object (microsecond fields): the
+    /// `repeat --json` output.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"runs\": {}, \"min_us\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"max_us\": {}, \"mean_us\": {:.3}}}",
@@ -988,15 +1005,7 @@ pub fn run_traced_profile(
         .histograms
         .get("run.latency_us")
         .map(LatencyStats::from_histogram)
-        .unwrap_or(LatencyStats {
-            runs: 0,
-            min_us: 0,
-            max_us: 0,
-            mean_us: 0.0,
-            p50_us: 0,
-            p90_us: 0,
-            p99_us: 0,
-        });
+        .unwrap_or_else(|| LatencyStats::from_samples(Vec::new()));
     // The per-layer table describes ONE pass over the network, so rebuild it
     // from the first timed run's subtree only.
     let profile = match trace.by_category("session").find(|s| s.name == "run") {
@@ -1020,8 +1029,8 @@ pub fn run_traced_profile(
 }
 
 /// EXP-REP: the `repeat` subcommand — `runs` timed inferences after
-/// `warmup` discarded warm-up runs, summarized as percentile latency. Uses
-/// a local [`Histogram`](orpheus_observe::Histogram) rather than the global
+/// `warmup` discarded warm-up runs, summarized as exact (nearest-rank)
+/// percentile latency. Keeps its own samples rather than reading the global
 /// recorder, so it composes with any concurrent recording. The timed loop
 /// reuses one [`orpheus::Session`], so it measures the zero-allocation arena
 /// executor at steady state.
@@ -1045,7 +1054,7 @@ pub fn run_repeat(
     let network = engine.load(graph)?;
     let dims = [1, model.input_dims()[1], input_hw, input_hw];
     let input = Tensor::full(&dims, 0.5);
-    let mut histogram = orpheus_observe::Histogram::default();
+    let mut samples = Vec::with_capacity(runs.max(1));
     let mut session = network.session();
     for _ in 0..warmup {
         session.run(&input)?;
@@ -1053,9 +1062,9 @@ pub fn run_repeat(
     for _ in 0..runs.max(1) {
         let start = Instant::now();
         session.run(&input)?;
-        histogram.record(start.elapsed().as_micros() as u64);
+        samples.push(start.elapsed().as_micros() as u64);
     }
-    Ok(LatencyStats::from_histogram(&histogram))
+    Ok(LatencyStats::from_samples(samples))
 }
 
 /// EXP-ROB: deterministic fault-injection fuzzing of the ONNX importer.
@@ -1259,6 +1268,33 @@ mod observe_tests {
         let _serial = lock();
         let _ = run_traced_profile(Personality::Orpheus, ModelKind::TinyCnn, 8, 1, 1).unwrap();
         assert!(!orpheus_observe::enabled());
+    }
+
+    /// Ten samples inside one log-linear bucket ([19 456, 20 480) µs, which
+    /// the histogram reports as 19 968 for every quantile) keep distinct
+    /// nearest-rank percentiles.
+    #[test]
+    fn from_samples_resolves_what_one_histogram_bucket_merges() {
+        let samples: Vec<u64> = (0..10).rev().map(|i| 19_500 + 100 * i).collect();
+        let mut histogram = orpheus_observe::Histogram::new();
+        samples.iter().for_each(|&s| histogram.record(s));
+        let merged = LatencyStats::from_histogram(&histogram);
+        assert_eq!((merged.p50_us, merged.p90_us), (19_968, 19_968));
+
+        let exact = LatencyStats::from_samples(samples);
+        assert_eq!(exact.runs, 10);
+        assert_eq!((exact.min_us, exact.max_us), (19_500, 20_400));
+        assert_eq!(
+            (exact.p50_us, exact.p90_us, exact.p99_us),
+            (19_900, 20_300, 20_400)
+        );
+        assert!((exact.mean_us - 19_950.0).abs() < 1e-9);
+        // The `--json` object keeps its fields and their order.
+        assert_eq!(
+            exact.to_json(),
+            "{\"runs\": 10, \"min_us\": 19500, \"p50_us\": 19900, \"p90_us\": 20300, \
+             \"p99_us\": 20400, \"max_us\": 20400, \"mean_us\": 19950.000}"
+        );
     }
 
     #[test]

@@ -1,9 +1,6 @@
 //! `orpheus-cli` — the experiment runner binary.
 //!
 //! ```text
-//! orpheus-cli bench [--quick] [--full] [--models a,b] [--threads N] [--iters N]
-//!                   [--warmup N] [--rounds N] [--out F] [--compare BASELINE.json]
-//!                   [--budget-pct X] [--arena-pct X] [--alloc-budget N]
 //! orpheus-cli figure2 [--quick] [--repeats N] [--threads N] [--models a,b]
 //!                     [--include-darknet] [--csv] [--trace-out F] [--metrics-out F]
 //! orpheus-cli table1 [--measured]
@@ -26,69 +23,24 @@
 //!                   [--breaker-threshold N] [--breaker-cooldown-ms N] [--drain-timeout-ms N]
 //! ```
 //!
-//! `bench --compare` exits with code 2 when a metric regresses past its
-//! budget, so CI can distinguish a performance regression from a usage
-//! error (exit 1). On any runtime error the binary dumps the flight
-//! recorder to stderr for post-mortem context.
+//! A flag the subcommand never asks about is a usage error, not a no-op.
+//! On any error (exit 1) the binary dumps the flight recorder to stderr for
+//! post-mortem context. Performance is measured by `benchmark/run.sh`, not
+//! here.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#![forbid(unsafe_code)]
+
+use std::cell::RefCell;
 use std::process::ExitCode;
 
 use orpheus::Personality;
 use orpheus_cli::{
-    bench_filename, compare, profile_model, run_bench, run_depthwise_ablation, run_figure2,
-    run_layer_profile, run_layer_sweep, run_repeat, run_simplify_ablation, run_table1,
-    run_traced_profile, with_recording, BenchConfig, BenchReport, CompareBudgets, Figure2Config,
-    InputScale, DEPTHWISE_PASSES,
+    profile_model, run_depthwise_ablation, run_figure2, run_layer_profile, run_layer_sweep,
+    run_repeat, run_simplify_ablation, run_table1, run_traced_profile, with_recording,
+    Figure2Config, InputScale, DEPTHWISE_PASSES,
 };
 use orpheus_graph::passes::PassManager;
 use orpheus_models::{build_model, ModelKind};
-
-// Counting allocator: lets `bench` report steady-state allocations per run
-// (the session executor's contract is zero). The library crate forbids
-// unsafe code; this binary is its own crate root, and the counting shim is
-// the same one `crates/core/tests/zero_alloc.rs` uses to prove the
-// invariant. The counter is per-thread, so the single-threaded bench reads
-// exactly its own traffic.
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn alloc_count() -> u64 {
-    THREAD_ALLOCS.with(|c| c.get())
-}
-
-struct CountingAlloc;
-
-fn bump() {
-    // `try_with` so allocations during thread teardown never panic.
-    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -110,7 +62,6 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  orpheus-cli bench [--quick] [--full] [--models a,b] [--threads N] [--iters N] [--warmup N] [--rounds N] [--max-batch N] [--out F] [--compare BASELINE.json] [--budget-pct X] [--arena-pct X] [--alloc-budget N]
   orpheus-cli figure2 [--quick] [--repeats N] [--threads N] [--models a,b] [--include-darknet] [--csv] [--trace-out F] [--metrics-out F]
   orpheus-cli table1 [--measured]
   orpheus-cli profile --model M [--personality P] [--hw N] [--threads N] [--runs N] [--report] [--trace-out F] [--events-out F] [--metrics-out F] [--openmetrics-out F] [--flight-out F]
@@ -127,17 +78,21 @@ const USAGE: &str = "usage:
   orpheus-cli fuzz [--model M|all] [--iters N] [--seed N]
   orpheus-cli serve --model M [--load-gen] [--hw N] [--threads N] [--workers N] [--queue-depth N] [--max-batch N] [--batch-wait-us N] [--deadline-ms N] [--requests N] [--clients N] [--fault NEEDLE] [--fault-mode error|panic|panic-first:N|flaky:PERMILLE[:SEED]] [--breaker-threshold N] [--breaker-cooldown-ms N] [--drain-timeout-ms N] [--openmetrics-out F] [--flight-out F] [--metrics-out F]";
 
-/// Tiny `--flag value` argument scanner.
+/// Tiny `--flag value` argument scanner. It remembers every name a
+/// subcommand asks about, so [`Args::reject_unqueried`] can refuse the rest.
 struct Args<'a> {
     args: &'a [String],
+    queried: RefCell<Vec<&'static str>>,
 }
 
 impl<'a> Args<'a> {
-    fn flag(&self, name: &str) -> bool {
+    fn flag(&self, name: &'static str) -> bool {
+        self.queried.borrow_mut().push(name);
         self.args.iter().any(|a| a == name)
     }
 
-    fn value(&self, name: &str) -> Option<&'a str> {
+    fn value(&self, name: &'static str) -> Option<&'a str> {
+        self.queried.borrow_mut().push(name);
         self.args
             .iter()
             .position(|a| a == name)
@@ -145,7 +100,7 @@ impl<'a> Args<'a> {
             .map(String::as_str)
     }
 
-    fn usize_or(&self, name: &str, default: usize) -> Result<usize, String> {
+    fn usize_or(&self, name: &'static str, default: usize) -> Result<usize, String> {
         match self.value(name) {
             None => Ok(default),
             Some(v) => v
@@ -154,12 +109,18 @@ impl<'a> Args<'a> {
         }
     }
 
-    fn f64_or(&self, name: &str, default: f64) -> Result<f64, String> {
-        match self.value(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("{name} expects a number, got {v:?}")),
+    /// Fails on a `--token` in argv that `command` never asked about: a typo
+    /// or a removed flag would otherwise run something other than what the
+    /// caller wrote, and exit 0.
+    fn reject_unqueried(&self, command: &str) -> Result<(), String> {
+        let queried = self.queried.borrow();
+        match self
+            .args
+            .iter()
+            .find(|a| a.starts_with("--") && !queried.contains(&a.as_str()))
+        {
+            Some(unknown) => Err(format!("unknown flag {unknown:?} for {command}")),
+            None => Ok(()),
         }
     }
 }
@@ -168,80 +129,16 @@ fn run(argv: &[String]) -> Result<(), String> {
     let Some(command) = argv.first() else {
         return Err("missing subcommand".into());
     };
-    let args = Args { args: &argv[1..] };
-    match command.as_str() {
-        "bench" => {
-            let mut config = if args.flag("--quick") {
-                BenchConfig::quick()
-            } else {
-                BenchConfig::default()
-            };
-            if args.flag("--full") {
-                config.scale = InputScale::Full;
-            }
-            if let Some(list) = args.value("--models") {
-                config.models = list
-                    .split(',')
-                    .map(|name| {
-                        ModelKind::from_name(name).ok_or_else(|| format!("unknown model {name:?}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            config.threads = args.usize_or("--threads", config.threads)?;
-            config.iters = args.usize_or("--iters", config.iters)?;
-            config.warmup = args.usize_or("--warmup", config.warmup)?;
-            config.rounds = args.usize_or("--rounds", config.rounds)?;
-            config.max_batch = args.usize_or("--max-batch", config.max_batch)?.max(1);
-            config.alloc_counter = Some(alloc_count);
+    let args = Args {
+        args: &argv[1..],
+        queried: RefCell::default(),
+    };
+    dispatch(command, &args)?;
+    args.reject_unqueried(command)
+}
 
-            let report = run_bench(&config).map_err(|e| e.to_string())?;
-            print!("{}", report.render());
-
-            let out = args
-                .value("--out")
-                .map(str::to_string)
-                .unwrap_or_else(|| bench_filename(&config.git_sha));
-            std::fs::write(&out, report.to_json()).map_err(|e| format!("writing {out:?}: {e}"))?;
-            println!(
-                "bench report written to {out} (schema v{})",
-                report.schema_version
-            );
-
-            if let Some(base_path) = args.value("--compare") {
-                let text = std::fs::read_to_string(base_path)
-                    .map_err(|e| format!("reading baseline {base_path:?}: {e}"))?;
-                let baseline = BenchReport::from_json(&text)
-                    .map_err(|e| format!("parsing baseline {base_path:?}: {e}"))?;
-                let budgets = CompareBudgets {
-                    latency_pct: args.f64_or("--budget-pct", 25.0)?,
-                    arena_pct: args.f64_or("--arena-pct", 0.0)?,
-                    alloc_budget: args.usize_or("--alloc-budget", 0)? as u64,
-                };
-                let regressions = compare(&report, &baseline, &budgets);
-                if regressions.is_empty() {
-                    println!(
-                        "compare vs {base_path} (baseline @ {}): OK, no regression past budgets \
-                         (latency +{}%, arena +{}%, allocs +{})",
-                        baseline.git_sha,
-                        budgets.latency_pct,
-                        budgets.arena_pct,
-                        budgets.alloc_budget
-                    );
-                } else {
-                    eprintln!(
-                        "compare vs {base_path} (baseline @ {}): {} regression(s):",
-                        baseline.git_sha,
-                        regressions.len()
-                    );
-                    for regression in &regressions {
-                        eprintln!("  {regression}");
-                    }
-                    // Exit 2: regression, distinct from usage errors (1).
-                    std::process::exit(2);
-                }
-            }
-            Ok(())
-        }
+fn dispatch(command: &str, args: &Args) -> Result<(), String> {
+    match command {
         "figure2" => {
             let models = match args.value("--models") {
                 None => ModelKind::FIGURE2.to_vec(),
@@ -267,7 +164,7 @@ fn run(argv: &[String]) -> Result<(), String> {
                 args.value("--trace-out").is_some() || args.value("--metrics-out").is_some();
             let result = if wants_recording {
                 let (result, trace, metrics) = with_recording(|| run_figure2(&config));
-                write_observability(&args, &trace, &metrics)?;
+                write_observability(args, &trace, &metrics)?;
                 result.map_err(|e| e.to_string())?
             } else {
                 run_figure2(&config).map_err(|e| e.to_string())?
@@ -290,8 +187,8 @@ fn run(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         "profile" => {
-            let model = required_model(&args)?;
-            let personality = personality_or_default(&args)?;
+            let model = required_model(args)?;
+            let personality = personality_or_default(args)?;
             let hw = args.usize_or("--hw", InputScale::Quick.input_hw(model))?;
             let threads = args.usize_or("--threads", 1)?;
             let runs = args.usize_or("--runs", 5)?;
@@ -322,12 +219,12 @@ fn run(argv: &[String]) -> Result<(), String> {
                 println!("\nby selection algorithm:");
                 print!("{}", attribution.render_by_algorithm());
             }
-            write_observability(&args, &report.trace, &report.metrics)?;
+            write_observability(args, &report.trace, &report.metrics)?;
             Ok(())
         }
         "repeat" => {
-            let model = required_model(&args)?;
-            let personality = personality_or_default(&args)?;
+            let model = required_model(args)?;
+            let personality = personality_or_default(args)?;
             let hw = args.usize_or("--hw", InputScale::Quick.input_hw(model))?;
             let threads = args.usize_or("--threads", 1)?;
             let runs = args.usize_or("--runs", 30)?;
@@ -335,7 +232,6 @@ fn run(argv: &[String]) -> Result<(), String> {
             let stats = run_repeat(personality, model, hw, threads, runs, warmup)
                 .map_err(|e| e.to_string())?;
             if args.flag("--json") {
-                // Same serialization the bench artifact uses for latency.
                 println!("{}", stats.to_json());
                 return Ok(());
             }
@@ -346,8 +242,8 @@ fn run(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         "layers" => {
-            let model = required_model(&args)?;
-            let personality = personality_or_default(&args)?;
+            let model = required_model(args)?;
+            let personality = personality_or_default(args)?;
             let hw = args.usize_or("--hw", InputScale::Quick.input_hw(model))?;
             let threads = args.usize_or("--threads", 1)?;
             let text =
@@ -400,7 +296,7 @@ fn run(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         "simplify" => {
-            let model = required_model(&args)?;
+            let model = required_model(args)?;
             let hw = args.usize_or("--hw", InputScale::Quick.input_hw(model))?;
             let report = run_simplify_ablation(model, hw, args.usize_or("--repeats", 3)?)
                 .map_err(|e| e.to_string())?;
@@ -418,7 +314,7 @@ fn run(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         "inspect" => {
-            let model = required_model(&args)?;
+            let model = required_model(args)?;
             let mut graph = build_model(model);
             println!("before simplification: {} nodes", graph.nodes().len());
             PassManager::standard()
@@ -429,15 +325,16 @@ fn run(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         "sweep" => {
-            let parse_list = |name: &str, default: &[usize]| -> Result<Vec<usize>, String> {
-                match args.value(name) {
-                    None => Ok(default.to_vec()),
-                    Some(list) => list
-                        .split(',')
-                        .map(|v| v.parse().map_err(|_| format!("bad {name} entry {v:?}")))
-                        .collect(),
-                }
-            };
+            let parse_list =
+                |name: &'static str, default: &[usize]| -> Result<Vec<usize>, String> {
+                    match args.value(name) {
+                        None => Ok(default.to_vec()),
+                        Some(list) => list
+                            .split(',')
+                            .map(|v| v.parse().map_err(|_| format!("bad {name} entry {v:?}")))
+                            .collect(),
+                    }
+                };
             let channels = parse_list("--channels", &[16, 64, 256])?;
             let hws = parse_list("--hws", &[8, 16, 32, 56])?;
             let csv = run_layer_sweep(
@@ -452,7 +349,7 @@ fn run(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         "policy" => {
-            let model = required_model(&args)?;
+            let model = required_model(args)?;
             let hw = args.usize_or("--hw", InputScale::Full.input_hw(model))?;
             let rows =
                 orpheus_cli::run_policy_comparison(model, hw, args.usize_or("--repeats", 3)?)
@@ -468,7 +365,7 @@ fn run(argv: &[String]) -> Result<(), String> {
                 let bytes = std::fs::read(path).map_err(|e| format!("reading {path:?}: {e}"))?;
                 orpheus_onnx::import_model(&bytes).map_err(|e| e.to_string())?
             } else {
-                let model = required_model(&args)?;
+                let model = required_model(args)?;
                 let hw = args.usize_or("--hw", InputScale::Quick.input_hw(model))?;
                 orpheus_models::build_model_with_input(model, hw, hw)
             };
@@ -563,7 +460,7 @@ fn run(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         "export" => {
-            let model = required_model(&args)?;
+            let model = required_model(args)?;
             let out = args
                 .value("--out")
                 .ok_or_else(|| "--out is required".to_string())?;
@@ -579,7 +476,7 @@ fn run(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         "serve" => {
-            let model = required_model(&args)?;
+            let model = required_model(args)?;
             let hw = args.usize_or("--hw", InputScale::Quick.input_hw(model))?;
             let threads = args.usize_or("--threads", 1)?;
             let server_cfg = orpheus_serve::ServerConfig {
@@ -651,7 +548,7 @@ fn run(argv: &[String]) -> Result<(), String> {
             let (report, trace, metrics) =
                 with_recording(|| orpheus_serve::run_load_gen(network, server_cfg, load_cfg));
             print!("{}", report.render());
-            write_observability(&args, &trace, &metrics)?;
+            write_observability(args, &trace, &metrics)?;
             if report.drain.worker_panics > 0 {
                 return Err(format!(
                     "{} worker(s) died by panic: isolation failed",
@@ -770,4 +667,24 @@ fn write_observability(
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+
+    fn repeat_with(extra: &[&str]) -> Result<(), String> {
+        let line = ["repeat", "--model", "tiny-cnn", "--hw", "8", "--runs", "1"];
+        let argv: Vec<String> = line.iter().chain(extra).map(|s| s.to_string()).collect();
+        run(&argv)
+    }
+
+    #[test]
+    fn a_flag_the_subcommand_never_asks_about_is_a_usage_error() {
+        assert_eq!(repeat_with(&["--warmup", "0", "--json"]), Ok(()));
+        assert_eq!(
+            repeat_with(&["--legacy"]),
+            Err("unknown flag \"--legacy\" for repeat".into())
+        );
+    }
 }

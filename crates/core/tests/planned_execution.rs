@@ -178,6 +178,41 @@ fn runtime_arena_never_exceeds_static_prediction_in_any_bucket() {
     }
 }
 
+/// The planner's output is deterministic, so the arena each rung needs is
+/// pinned byte for byte: the five Figure-2 models at the CLI's quick-scale
+/// inputs, rungs 1/2/4. A planner or lowering change that grows (or shrinks)
+/// an arena has to change this table, in the same diff.
+#[test]
+fn figure2_arena_bytes_are_pinned_per_rung() {
+    const PINS: [(ModelKind, usize, [usize; 3]); 5] = [
+        (ModelKind::Wrn40_2, 32, [393_216, 786_432, 1_572_864]),
+        (ModelKind::MobileNetV1, 64, [393_216, 786_432, 1_572_864]),
+        (ModelKind::ResNet18, 64, [393_216, 786_432, 1_572_864]),
+        (ModelKind::InceptionV3, 75, [613_376, 1_226_752, 2_453_504]),
+        (ModelKind::ResNet50, 64, [786_432, 1_572_864, 3_145_728]),
+    ];
+    for (model, hw, arena_bytes) in PINS {
+        let network = Engine::builder()
+            .threads(1)
+            .max_batch(4)
+            .build()
+            .unwrap()
+            .load(build_model_with_input(model, hw, hw))
+            .unwrap();
+        let planned: Vec<(usize, usize)> = network
+            .plan_summary()
+            .batch_buckets
+            .iter()
+            .map(|bucket| (bucket.batch, bucket.arena_bytes))
+            .collect();
+        let pinned: Vec<(usize, usize)> = [1, 2, 4].into_iter().zip(arena_bytes).collect();
+        assert_eq!(
+            planned, pinned,
+            "{model} at {hw}x{hw}: (batch, arena bytes)"
+        );
+    }
+}
+
 /// `lint --max-batch` and the engine plan the same bucket ladder with the
 /// same shared planner: rung for rung, the engine's per-bucket arena (which
 /// additionally aliases views) never exceeds the lint prediction, and the

@@ -108,6 +108,21 @@ fn mobilenetv1_steady_state_is_allocation_free() {
     assert_model_steady_state_zero_alloc(ModelKind::MobileNetV1);
 }
 
+/// The rest of the Figure-2 zoo: residual adds (WRN, ResNets), bottlenecks
+/// (ResNet-50), and Inception's concat branches, asymmetric kernels and
+/// average pools.
+#[test]
+fn figure2_zoo_steady_state_is_allocation_free() {
+    for model in [
+        ModelKind::Wrn40_2,
+        ModelKind::ResNet18,
+        ModelKind::ResNet50,
+        ModelKind::InceptionV3,
+    ] {
+        assert_model_steady_state_zero_alloc(model);
+    }
+}
+
 /// `Pad` and `ReduceMean` are absent from the simplified zoo (`pad-fold`
 /// absorbs the former, exporters' `GlobalAveragePool` replaces the latter),
 /// so this graph — loaded with simplification off so the `Pad` survives —

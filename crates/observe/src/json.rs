@@ -8,8 +8,8 @@
 //!
 //! The module also carries [`JsonValue`], a small recursive-descent JSON
 //! *reader* — enough for tools that must consume the workspace's own JSON
-//! artifacts back (notably `orpheus-cli bench --compare`, which reads a
-//! committed `BENCH_*.json` baseline). It parses the full RFC 8259 grammar
+//! artifacts back (notably `benchmark/run.sh compare`, which reads two
+//! `BENCH_*.json` artifacts). It parses the full RFC 8259 grammar
 //! with a bounded nesting depth; numbers come back as `f64` (exact for the
 //! integer ranges these artifacts use).
 

@@ -1,10 +1,11 @@
 //! Property-based tests for the log-linear latency histogram.
 //!
-//! The quantile queries feed `orpheus-cli bench` regression gating, so the
-//! edge cases matter: an empty histogram must answer harmlessly, a single
-//! sample must be reported exactly, and merging partial histograms (the
-//! per-round shards `bench` produces) must be order-independent — the
-//! aggregate may not depend on which worker's shard merged first.
+//! The quantile queries feed `orpheus-cli profile`, the `serve.*` metrics and
+//! the OpenMetrics export, so the edge cases matter: an empty histogram must
+//! answer harmlessly, a single sample must be reported exactly, and merging
+//! partial histograms (the load generator's per-client tallies) must be
+//! order-independent — the aggregate may not depend on which shard merged
+//! first.
 
 use orpheus_observe::Histogram;
 use proptest::prelude::*;

@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Pre-PR gate: formatting, lints, and the full workspace test suite.
+# Pre-PR gate: formatting, lints, the full workspace test suite and the
+# release-binary smokes. It asserts correctness only and compares no wall
+# clock: performance is judged by benchmark/ (see benchmark/README.md).
 # Network-free — every dependency is an in-tree path crate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -72,16 +74,6 @@ echo "== zero-allocation arena executor =="
 # executor and the runtime-footprint <= static-prediction pin.
 cargo test -q -p orpheus --test zero_alloc --test planned_execution
 
-echo "== bench regression gate (release, quick budgets) =="
-# The performance regression observatory: re-measure the zoo with small
-# iteration budgets and compare against the committed baseline. Latency gets
-# a generous budget (baselines travel across machines and CI neighbours are
-# noisy); arena bytes and steady-state allocation counts are deterministic
-# and compare strictly. Exit code 2 = regression.
-./target/release/orpheus-cli bench --quick \
-  --out "$LINT_TMP/BENCH_check.json" \
-  --compare results/bench_baseline.json --budget-pct 300
-
 echo "== serve smoke (release: clean + fault-injected load-gen) =="
 # The serving core must shed-or-serve every request, keep every injected
 # panic isolated (worker panics: 0), and drain clean — both on a healthy
@@ -99,41 +91,17 @@ grep -q "worker panics: 0" "$LINT_TMP/serve_clean.txt"
 grep -q "drain: clean" "$LINT_TMP/serve_faulted.txt"
 grep -q "worker panics: 0" "$LINT_TMP/serve_faulted.txt"
 
-echo "== batched serve smoke (release: dynamic batching vs serial) =="
-# Dynamic batching must coalesce (at least one batched run), drain clean,
-# and never throughput-regress a serial server at equal worker count.
-# Protocol: one discarded warm-up campaign, then three interleaved rounds
-# per mode taking the best of each — load-gen throughput jitters with CI
-# neighbours, and interleaving keeps the comparison honest when the whole
-# machine speeds up or slows down mid-smoke.
-serve_rps() { # serve_rps <max_batch> <tee_file>
-  ./target/release/orpheus-cli serve --model tiny_cnn --load-gen --hw 32 \
-    --requests 600 --clients 16 --workers 2 --queue-depth 64 \
-    --max-batch "$1" --batch-wait-us 200 \
-    | tee "$2" | awk -F'[ ,]+' '/^load-gen:/ { printf "%d", $4 }'
-}
-serve_rps 8 "$LINT_TMP/serve_warmup.txt" > /dev/null
-batched_rps=0
-serial_rps=0
-for round in 1 2 3; do
-  b="$(serve_rps 8 "$LINT_TMP/serve_batched.txt")"
-  s="$(serve_rps 1 "$LINT_TMP/serve_serial.txt")"
-  if [ -z "$b" ] || [ -z "$s" ]; then
-    echo "FAIL: could not parse load-gen throughput (round $round)" >&2
-    exit 1
-  fi
-  grep -q "drain: clean" "$LINT_TMP/serve_batched.txt"
-  grep -q "worker panics: 0" "$LINT_TMP/serve_batched.txt"
-  grep -q "batched:" "$LINT_TMP/serve_batched.txt"
-  grep -q "drain: clean" "$LINT_TMP/serve_serial.txt"
-  if [ "$b" -gt "$batched_rps" ]; then batched_rps="$b"; fi
-  if [ "$s" -gt "$serial_rps" ]; then serial_rps="$s"; fi
-done
-echo "throughput (best of 3): batched ${batched_rps} req/s, serial ${serial_rps} req/s"
-if [ "$batched_rps" -lt "$serial_rps" ]; then
-  echo "FAIL: batched throughput ${batched_rps} req/s below serial ${serial_rps} req/s" >&2
-  exit 1
-fi
+echo "== batched serve smoke (release: dynamic batching) =="
+# Dynamic batching must coalesce (a "batched:" line: at least one batched
+# run), keep every worker alive and drain clean. Whether it is also faster
+# is the benchmark's question (wrn_serve_burst), not this script's.
+./target/release/orpheus-cli serve --model tiny_cnn --load-gen --hw 32 \
+  --requests 600 --clients 16 --workers 2 --queue-depth 64 \
+  --max-batch 8 --batch-wait-us 200 \
+  | tee "$LINT_TMP/serve_batched.txt"
+grep -q "drain: clean" "$LINT_TMP/serve_batched.txt"
+grep -q "worker panics: 0" "$LINT_TMP/serve_batched.txt"
+grep -q "batched:" "$LINT_TMP/serve_batched.txt"
 
 echo "== repo benchmark smoke (benchmark/run.sh --smoke) =="
 # Builds the standalone harness against the crates' public surface and runs

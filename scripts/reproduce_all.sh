@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Regenerates every experiment artifact in results/ (see EXPERIMENTS.md).
-# Takes ~5 minutes on one core, plus ~45 minutes if BENCH=1.
+# Takes ~10 minutes on one core, plus ~45 minutes if BENCH=1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,12 +31,10 @@ $CLI policy --model wrn-40-2 --repeats 3 | tee results/policy_wrn.txt
 echo "== Backend validation =="
 $CLI validate --model tinycnn
 
-echo "== Bench artifact (BENCH_<git-sha>.json) =="
-# Full-input latency/arena/allocation snapshot of the zoo, pinned to the
-# current revision. Diff two revisions with `orpheus-cli bench --compare`.
-sha="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
-$CLI bench --full --out "results/BENCH_${sha}.json"
-echo "wrote results/BENCH_${sha}.json"
+echo "== Benchmark artifact (benchmark/out/BENCH_<git-sha>.json) =="
+# The per-revision performance pin: four workloads, end-to-end and per-layer
+# metrics. Diff two revisions with `bash benchmark/run.sh compare A.json B.json`.
+bash benchmark/run.sh
 
 echo "== Python bindings round trip =="
 $CLI export --model lenet --out /tmp/lenet.onnx
