@@ -144,7 +144,7 @@ impl EngineBuilder {
     /// bit-identical to the pre-SIMD packed path, so comparing it against a
     /// default engine bounds the SIMD numerical drift. Defaults to whatever
     /// the process-wide dispatch decided — `false` on SIMD-capable hosts,
-    /// `true` when the host lacks AVX2+FMA or `ORPHEUS_FORCE_SCALAR=1` is
+    /// `true` when the host has no SIMD tier or `ORPHEUS_FORCE_SCALAR=1` is
     /// set (so the env lane flows through the builder automatically).
     ///
     /// The depthwise stencil is not a GEMM tier: it follows the process-wide

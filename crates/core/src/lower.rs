@@ -82,8 +82,9 @@ pub(crate) struct Plan {
     /// double up to the engine's `max_batch`.
     pub buckets: Vec<BucketPlan>,
     /// The GEMM ISA this plan's kernels execute on, resolved at lowering:
-    /// `"avx2+fma"` or `"scalar"` from runtime dispatch, `"scalar (forced)"`
-    /// when the engine pinned the scalar tier on a SIMD-capable host.
+    /// `"avx512+fma"`, `"avx2+fma"` or `"scalar"` from runtime dispatch,
+    /// `"scalar (forced)"` when the engine pinned the scalar tier on a
+    /// SIMD-capable host.
     pub gemm_isa: &'static str,
 }
 

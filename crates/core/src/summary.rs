@@ -52,7 +52,7 @@ pub struct PlanSummary {
     /// Total FLOPs per base-batch inference.
     pub flops: u64,
     /// The GEMM ISA runtime dispatch selected for this plan (`"scalar"`,
-    /// `"scalar (forced)"`, or `"avx2+fma"`).
+    /// `"scalar (forced)"`, `"avx2+fma"` or `"avx512+fma"`).
     pub gemm_isa: &'static str,
 }
 

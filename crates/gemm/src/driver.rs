@@ -6,7 +6,7 @@ use orpheus_threads::ThreadPool;
 
 use crate::kernels::{gemm_blocked, gemm_naive};
 use crate::packed::gemm_packed;
-use crate::simd::{active_is_simd, active_kernel, scalar_kernel, MicroKernel};
+use crate::simd::{active_kernel, scalar_kernel, MicroKernel};
 
 /// Which GEMM implementation tier to run.
 ///
@@ -18,8 +18,8 @@ pub enum GemmKernel {
     Naive,
     /// Cache-blocked, autovectorized row updates.
     Blocked,
-    /// Packed panels with the runtime-dispatched micro-kernel (AVX2/FMA
-    /// where available, scalar otherwise — fastest).
+    /// Packed panels with the runtime-dispatched micro-kernel (AVX-512 or
+    /// AVX2/FMA where available, scalar otherwise — fastest).
     #[default]
     Packed,
     /// Packed panels pinned to the scalar micro-kernel regardless of CPU
@@ -59,26 +59,14 @@ pub(crate) fn micro_kernel_for(kernel: GemmKernel) -> &'static dyn MicroKernel {
     }
 }
 
-/// Bumps the `gemm.kernel.*` dispatch counter for one GEMM call. Inert (one
-/// atomic load) while the recorder is off, so the zero-steady-state-alloc
-/// invariant holds.
-pub(crate) fn count_dispatch(kernel: GemmKernel) {
-    if !orpheus_observe::enabled() {
-        return;
+/// Bumps the `gemm.kernel.<name>` dispatch counter for one GEMM call, where
+/// `name` is the naive or blocked tier's or the micro-kernel's
+/// ([`MicroKernel::name`]). Inert (one atomic load) while the recorder is
+/// off, so the zero-steady-state-alloc invariant holds.
+pub(crate) fn count_dispatch(name: &str) {
+    if orpheus_observe::enabled() {
+        orpheus_observe::counter_add(&format!("gemm.kernel.{name}"), 1);
     }
-    let name = match kernel {
-        GemmKernel::Naive => "gemm.kernel.naive",
-        GemmKernel::Blocked => "gemm.kernel.blocked",
-        GemmKernel::Packed => {
-            if active_is_simd() {
-                "gemm.kernel.avx2_fma"
-            } else {
-                "gemm.kernel.scalar"
-            }
-        }
-        GemmKernel::PackedScalar => "gemm.kernel.scalar",
-    };
-    orpheus_observe::counter_add(name, 1);
 }
 
 /// Single-threaded GEMM: `C = A·B + beta·C`.
@@ -108,7 +96,11 @@ pub fn gemm(
     if m == 0 || n == 0 {
         return;
     }
-    count_dispatch(kernel);
+    count_dispatch(match kernel {
+        GemmKernel::Naive => "naive",
+        GemmKernel::Blocked => "blocked",
+        GemmKernel::Packed | GemmKernel::PackedScalar => micro_kernel_for(kernel).name(),
+    });
     // Narrow outputs (GEMV and late conv stages) defeat both the blocked
     // row update and the packed register tile; route them to the
     // dot-product kernel. The naive tier stays pure as the reference, and

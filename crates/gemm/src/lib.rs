@@ -10,8 +10,8 @@
 //! * [`GemmKernel::Blocked`] — cache-tiled `i-k-j` ordering that
 //!   autovectorizes across the output row.
 //! * [`GemmKernel::Packed`] — BLIS-style packed panels with a register-tiled
-//!   micro-kernel dispatched at runtime (AVX2/FMA where the CPU supports it,
-//!   scalar otherwise); the tier the `orpheus` personality uses.
+//!   micro-kernel dispatched at runtime (AVX-512 or AVX2/FMA where the CPU
+//!   supports it, scalar otherwise); the tier the `orpheus` personality uses.
 //! * [`GemmKernel::PackedScalar`] — the packed tier pinned to the scalar
 //!   micro-kernel, the reproducible arm of scalar-vs-SIMD differential tests
 //!   and per-layer auto-tuning.

@@ -3,9 +3,11 @@
 //! Both operands are repacked into micro-panel order so the micro-kernel
 //! streams through memory with unit stride: `A` in `MR`-row panels, `B` in
 //! `NR`-column panels, both cut into `KC`-deep blocks of the shared
-//! dimension. The micro-kernel itself is pluggable (scalar or AVX2/FMA, see
-//! the `simd` module); it computes an `MR x NR` block of `C` held entirely in
-//! registers.
+//! dimension. The micro-kernel itself is pluggable (scalar, AVX2/FMA or
+//! AVX-512, see the `simd` module); it computes an `MR x NR = 8 x 32` block
+//! of `C`, held entirely in registers on AVX-512 and as four `4 x 16`
+//! register sub-tiles on AVX2 and scalar. The panel format is the same for
+//! every kernel, so weights are packed once whatever the host's ISA.
 //!
 //! Weights that are reused across runs are packed **once** into
 //! [`PackedWeights`] (at `Engine::load` time). The prepacked-A driver,
@@ -15,7 +17,7 @@
 //! for p0 in KC-blocks            // one sweep of a packed weight block ...
 //!   for img in images            // ... serves every image of the bucket
 //!     for jr in NR-tiles
-//!       loader.load(panel, img, p0, kc, jr)   // kc x NR floats, 16 KB
+//!       loader.load(panel, img, p0, kc, jr)   // kc x NR floats, 32 KB
 //!       for ir in MR-tiles: micro-kernel tile
 //! ```
 //!
@@ -36,10 +38,13 @@ use crate::im2col::{load_column_panel, Im2colParams};
 use crate::kernels::scale_c;
 use crate::simd::MicroKernel;
 
-/// Rows of the register tile.
-pub(crate) const MR: usize = 4;
-/// Columns of the register tile (two AVX2 vectors worth of f32).
-pub(crate) const NR: usize = 16;
+/// Rows of the register tile: the one packed-panel geometry every
+/// micro-kernel consumes. AVX-512 holds all 8 rows; AVX2 and scalar run the
+/// tile as two 4-row halves (see the `simd` module).
+pub(crate) const MR: usize = 8;
+/// Columns of the register tile: two AVX-512 vectors (four AVX2 vectors)
+/// of f32. A `KC x NR` B micro-panel is 32 KB and stays L1-resident.
+pub(crate) const NR: usize = 32;
 /// Rows of the cache-resident `A` panel.
 const MC: usize = 64;
 /// Shared dimension of the cache-resident panels.
@@ -434,6 +439,33 @@ pub fn gemm_prepacked_a_images(
     c_image_stride: usize,
     beta: f32,
 ) {
+    let mk = crate::driver::micro_kernel_for(kernel);
+    prepacked_a_images(
+        mk,
+        pool,
+        weights,
+        loader,
+        images,
+        c,
+        ldc,
+        c_image_stride,
+        beta,
+    );
+}
+
+/// [`gemm_prepacked_a_images`] on the micro-kernel `mk`.
+#[allow(clippy::too_many_arguments)]
+fn prepacked_a_images(
+    mk: &dyn MicroKernel,
+    pool: &ThreadPool,
+    weights: &PackedWeights,
+    loader: &PanelLoader,
+    images: usize,
+    c: &mut [f32],
+    ldc: usize,
+    c_image_stride: usize,
+    beta: f32,
+) {
     let (m, n) = (weights.out_rows(), loader.n());
     if m == 0 || n == 0 || images == 0 {
         return;
@@ -446,8 +478,7 @@ pub fn gemm_prepacked_a_images(
         "C images overlap"
     );
     loader.check(weights.k, images);
-    crate::driver::count_dispatch(kernel);
-    let mk = crate::driver::micro_kernel_for(kernel);
+    crate::driver::count_dispatch(mk.name());
     // Row bands need every image of C addressable as m whole rows of ldc.
     if pool.num_threads() == 1 || m <= MR || c.len() < last + m * ldc {
         prepacked_a_band(
@@ -516,13 +547,18 @@ fn prepacked_a_band(
 
     let mut panel = orpheus_threads::take_scratch(KC * NR);
 
-    // Load vs. compute attribution, recorded only while tracing is on so the
-    // production path keeps its single atomic-load cost.
-    let tracing = orpheus_observe::enabled();
+    // The band is one span, timed once by its guard; its attributes are set
+    // only while tracing so the production path keeps its single
+    // atomic-load cost.
     let mut gemm_span = orpheus_observe::span("gemm_prepacked", "gemm");
-    let mut pack_time = Duration::ZERO;
+    if orpheus_observe::enabled() {
+        gemm_span.attr("m", rows);
+        gemm_span.attr("n", n);
+        gemm_span.attr("k", k);
+        gemm_span.attr("isa", mk.name());
+        gemm_span.attr("loader", loader.name());
+    }
 
-    let band_start = tracing.then(Instant::now);
     for p0 in (0..k).step_by(KC) {
         let kc = KC.min(k - p0);
         let blk = m_tiles * MR * p0;
@@ -530,11 +566,7 @@ fn prepacked_a_band(
             let c = &mut c[i * c_image_stride..];
             for jr in (0..n).step_by(NR) {
                 let nr = NR.min(n - jr);
-                let t = tracing.then(Instant::now);
                 loader.load(&mut panel, img, p0, kc, jr);
-                if let Some(t) = t {
-                    pack_time += t.elapsed();
-                }
                 let b_panel = &panel[..kc * NR];
                 for ir in (0..rows).step_by(MR) {
                     let mr = MR.min(rows - ir);
@@ -548,22 +580,6 @@ fn prepacked_a_band(
                 }
             }
         }
-    }
-
-    if let Some(start) = band_start {
-        // Loads and tiles interleave per panel: only the loads are clocked
-        // (two clock reads per panel) and the rest of the band is compute.
-        let pack_us = pack_time.as_secs_f64() * 1e6;
-        let compute_us = start.elapsed().saturating_sub(pack_time).as_secs_f64() * 1e6;
-        gemm_span.attr("m", rows);
-        gemm_span.attr("n", n);
-        gemm_span.attr("k", k);
-        gemm_span.attr("isa", mk.name());
-        gemm_span.attr("loader", loader.name());
-        gemm_span.attr("pack_us", pack_us);
-        gemm_span.attr("compute_us", compute_us);
-        orpheus_observe::counter_add("gemm.pack_us", pack_us as u64);
-        orpheus_observe::counter_add("gemm.compute_us", compute_us as u64);
     }
 }
 
@@ -588,6 +604,22 @@ pub fn gemm_prepacked_b(
     ldc: usize,
     beta: f32,
 ) {
+    let mk = crate::driver::micro_kernel_for(kernel);
+    prepacked_b(mk, m, a, lda, weights, c, ldc, beta);
+}
+
+/// [`gemm_prepacked_b`] on the micro-kernel `mk`.
+#[allow(clippy::too_many_arguments)]
+fn prepacked_b(
+    mk: &dyn MicroKernel,
+    m: usize,
+    a: &[f32],
+    lda: usize,
+    weights: &PackedWeights,
+    c: &mut [f32],
+    ldc: usize,
+    beta: f32,
+) {
     let n = weights.out_cols();
     let k = weights.k;
     if m == 0 {
@@ -601,8 +633,7 @@ pub fn gemm_prepacked_b(
     if n == 0 {
         return;
     }
-    crate::driver::count_dispatch(kernel);
-    let mk = crate::driver::micro_kernel_for(kernel);
+    crate::driver::count_dispatch(mk.name());
     scale_c(m, n, c, ldc, beta);
     if k == 0 {
         return;
@@ -758,9 +789,10 @@ mod tests {
         let a: Vec<f32> = (0..6).map(|x| x as f32).collect(); // 3x2
         let mut dst = vec![f32::NAN; MR * 2];
         pack_a(&mut dst, &a, 2, 0, 3, 0, 2);
-        // tile 0, p=0: rows 0..3 of column 0, then zero pad.
-        assert_eq!(&dst[0..MR], &[0.0, 2.0, 4.0, 0.0]);
-        assert_eq!(&dst[MR..2 * MR], &[1.0, 3.0, 5.0, 0.0]);
+        // tile 0, p=0: rows 0..3 of column 0, then zero pad to MR rows.
+        let padded = |col: [f32; 3]| [&col[..], &[0.0; MR - 3]].concat();
+        assert_eq!(&dst[0..MR], padded([0.0, 2.0, 4.0]));
+        assert_eq!(&dst[MR..2 * MR], padded([1.0, 3.0, 5.0]));
     }
 
     #[test]
@@ -1027,7 +1059,8 @@ mod prepacked_tests {
         let pw = PackedWeights::pack_a(&a, 3, 2, 2);
         assert_eq!(pw.out_rows(), 3);
         assert_eq!(pw.k(), 2);
-        assert_eq!(pw.bytes(), MR * 2 * 4);
+        // Three rows pad to one MR-row tile, two k-steps of f32.
+        assert_eq!(pw.bytes(), MR * 2 * std::mem::size_of::<f32>());
         let pw = PackedWeights::pack_b_transposed(&a, 3, 2);
         assert_eq!(pw.out_cols(), 3);
         assert_eq!(pw.k(), 2);
@@ -1087,5 +1120,122 @@ mod small_n_tests {
         let mut c = [4.0, 4.0];
         gemm_small_n(scalar_kernel(), 1, 2, 0, &[], 0, &[], 0, &mut c, 2, 0.25);
         assert_eq!(c, [1.0, 1.0]);
+    }
+}
+
+/// Every micro-kernel tier the host supports, proven on the three packed
+/// drivers — not only the one dispatch picks, so an AVX-512 host still
+/// proves its AVX2 tier. Run with `--nocapture` to see which tiers ran.
+#[cfg(test)]
+mod tier_tests {
+    use super::*;
+    use crate::simd::{host_kernels, host_skipped_tiers};
+
+    fn seq(n: usize, scale: f32) -> Vec<f32> {
+        (0..n)
+            .map(|i| ((i * 29 % 23) as f32 - 11.0) * scale)
+            .collect()
+    }
+
+    /// The arithmetic every tier keeps per element of `C` (`a` is `m x k`,
+    /// `b` is `k x n`, both dense): scale by `beta`, then for each `KC`
+    /// block add one `k`-ordered chain that starts from zero. `fused` picks
+    /// the SIMD tiers' single-rounding FMA step over scalar
+    /// multiply-then-add.
+    #[allow(clippy::too_many_arguments)]
+    fn chain(
+        fused: bool,
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+        beta: f32,
+    ) {
+        for i in 0..m {
+            for j in 0..n {
+                let mut out = c[i * ldc + j] * beta;
+                for p0 in (0..k).step_by(KC) {
+                    let mut s = 0.0f32;
+                    for p in p0..k.min(p0 + KC) {
+                        let (x, y) = (a[i * k + p], b[p * n + j]);
+                        s = if fused { x.mul_add(y, s) } else { s + x * y };
+                    }
+                    out += s;
+                }
+                c[i * ldc + j] = out;
+            }
+        }
+    }
+
+    /// Each tier equals its chain bit for bit, through `gemm_packed`, the
+    /// prepacked-A driver (serial and in MR-aligned thread bands) and the
+    /// prepacked-B driver, on every tile boundary of `MR x NR = 8 x 32`, `k`
+    /// within one `KC` block and across two, into a strided `C` whose
+    /// padding columns must survive. AVX-512 and AVX2 both equal the fused
+    /// chain, so they are bit-identical to each other; scalar equals the
+    /// unfused chain, so the sub-tiled scalar kernel kept the pre-SIMD
+    /// per-element order.
+    #[test]
+    fn every_host_tier_is_its_per_element_chain() {
+        for (name, lacks) in host_skipped_tiers() {
+            println!("SKIPPED: {name} (host lacks {})", lacks.join(", "));
+        }
+        let pools = [ThreadPool::single(), ThreadPool::new(3).unwrap()];
+        for mk in host_kernels() {
+            println!("tier exercised: {}", mk.name());
+            let fused = mk.name() != "scalar";
+            for m in [1, 7, 8, 9, 16, 17] {
+                for n in [1, 15, 16, 17, 31, 32, 33, 64] {
+                    for k in [3, KC + 5] {
+                        let ldc = n + 3;
+                        let a = seq(m * k, 0.1);
+                        let b = seq(k * n, 0.05);
+                        let init = seq(m * ldc, 0.3);
+                        let mut want = init.clone();
+                        chain(fused, m, n, k, &a, &b, &mut want, ldc, 0.5);
+                        let check = |got: &[f32], driver: &str| {
+                            let same = got
+                                .iter()
+                                .zip(&want)
+                                .all(|(g, w)| g.to_bits() == w.to_bits());
+                            assert!(
+                                same,
+                                "{} {driver} {m}x{n}x{k}: {got:?} vs {want:?}",
+                                mk.name()
+                            );
+                        };
+
+                        let mut got = init.clone();
+                        gemm_packed(mk, m, n, k, &a, k, &b, n, &mut got, ldc, 0.5);
+                        check(&got, "gemm_packed");
+
+                        let pw = PackedWeights::pack_a(&a, m, k, k);
+                        let loader = PanelLoader {
+                            data: &b,
+                            image_stride: 0,
+                            layout: PanelLayout::RowMajor { ldb: n, n },
+                        };
+                        for pool in &pools {
+                            let mut got = init.clone();
+                            prepacked_a_images(mk, pool, &pw, &loader, 1, &mut got, ldc, 0, 0.5);
+                            check(
+                                &got,
+                                &format!("prepacked-A x{} threads", pool.num_threads()),
+                            );
+                        }
+
+                        // Dense weights are stored `n x k`: the transpose of `b`.
+                        let w: Vec<f32> = (0..n * k).map(|i| b[(i % k) * n + i / k]).collect();
+                        let pw = PackedWeights::pack_b_transposed(&w, n, k);
+                        let mut got = init.clone();
+                        prepacked_b(mk, m, &a, k, &pw, &mut got, ldc, 0.5);
+                        check(&got, "prepacked-B");
+                    }
+                }
+            }
+        }
     }
 }

@@ -4,19 +4,22 @@
 //!
 //! # Tolerance contract
 //!
-//! The AVX2 micro-kernel fuses multiply-add (`_mm256_fmadd_ps`) and splits
-//! the k-loop across 8 lanes, so its rounding differs from the scalar
-//! kernel's strict left-to-right accumulation: each output element is a
-//! length-k dot product with error bounded by ~k·ε per summand
-//! reassociation. For the depths exercised here (k ≤ 512) a relative
-//! tolerance of `1e-5` (with `1e-6` absolute floor for near-cancellation)
-//! holds with wide margin; it is the same bound `orpheus-ops` documents for
-//! conv/dense SIMD parity. The scalar tier itself is bit-exact against the
-//! pre-SIMD implementation (pinned in `simd::tests`), so this suite is what
-//! licenses dispatching `Packed` to AVX2 silently.
+//! The AVX2 and AVX-512 micro-kernels fuse multiply-add (`vfmadd231ps`), so
+//! each `k`-step of an output element rounds once where the scalar kernel
+//! rounds twice; the per-element order (one `k`-ordered chain per `KC`
+//! block) is the same on every tier, so AVX-512 and AVX2 are bit-identical
+//! (pinned per tier in `packed::tier_tests`) and both differ from scalar by
+//! contraction alone: a length-k dot product with error bounded by ~k·ε.
+//! Only the narrow-output dot-product path splits the k-loop across lanes.
+//! For the depths exercised here (k ≤ 512) a relative tolerance of `1e-5`
+//! (with `1e-6` absolute floor for near-cancellation) holds with wide
+//! margin; it is the same bound `orpheus-ops` documents for conv/dense SIMD
+//! parity. The scalar tier itself is bit-exact against the pre-SIMD
+//! implementation (pinned in `simd::tests`), so this suite is what licenses
+//! dispatching `Packed` to SIMD silently.
 //!
-//! On hosts without AVX2+FMA (or under `ORPHEUS_FORCE_SCALAR=1`) both tiers
-//! resolve to the scalar micro-kernel and the comparisons are trivially
+//! On hosts without a SIMD tier (or under `ORPHEUS_FORCE_SCALAR=1`) both
+//! tiers resolve to the scalar micro-kernel and the comparisons are trivially
 //! bit-exact — the suite stays green everywhere, it just only *proves*
 //! SIMD parity where SIMD runs.
 
@@ -58,13 +61,14 @@ fn run(kernel: GemmKernel, m: usize, n: usize, k: usize, seed: u64) -> Vec<f32> 
 }
 
 /// The deterministic shape grid: every combination straddles a different
-/// tile boundary of the MR=4 × NR=16 micro-kernel (full tiles, ragged rows,
+/// tile boundary of the MR=8 × NR=32 register tile and of the 4 × 16
+/// sub-tiles the AVX2 and scalar kernels run it as (full tiles, ragged rows,
 /// ragged cols, sub-tile shapes, deep k crossing multiple KC=256 blocks),
 /// plus the narrow-N shapes routed to the dot-product path.
 fn shape_grid() -> Vec<(usize, usize, usize)> {
     let mut shapes = Vec::new();
-    for &m in &[1usize, 3, 4, 5, 8, 17] {
-        for &n in &[1usize, 7, 15, 16, 17, 33] {
+    for &m in &[1usize, 3, 4, 7, 8, 9, 16, 17] {
+        for &n in &[1usize, 7, 15, 16, 17, 31, 32, 33, 64] {
             for &k in &[1usize, 2, 64, 255, 256, 300, 512] {
                 shapes.push((m, n, k));
             }
@@ -133,7 +137,13 @@ fn packed_matches_scalar_with_strided_c_and_beta() {
 #[test]
 fn prepacked_a_parity_across_tiers() {
     // The conv path: A (weights) prepacked at load, B streamed per run.
-    for (m, n, k) in [(4, 16, 64), (5, 17, 300), (13, 9, 256), (1, 33, 511)] {
+    for (m, n, k) in [
+        (4, 16, 64),
+        (8, 32, 64),
+        (5, 17, 300),
+        (13, 9, 256),
+        (1, 33, 511),
+    ] {
         let a = matrix(m * k, 7);
         let b = matrix(k * n, 8);
         let pw = PackedWeights::pack_a(&a, m, k, k);
@@ -297,13 +307,29 @@ fn stencil_plane_rejects_a_short_src_before_touching_it() {
     );
 }
 
+/// The fastest tier this host's CPU features allow, by the test's own
+/// detection: AVX-512 needs AVX-512F on top of AVX2 and FMA.
+fn best_host_tier() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+        if avx2 && is_x86_feature_detected!("avx512f") {
+            return "avx512+fma";
+        }
+        if avx2 {
+            return "avx2+fma";
+        }
+    }
+    "scalar"
+}
+
 #[test]
 fn dispatch_report_is_consistent() {
     // Whatever the host, the dispatch introspection must be coherent: SIMD
-    // active implies SIMD available, and the advertised name matches.
+    // active implies SIMD available, and dispatch picked the best tier.
     if orpheus_gemm::active_is_simd() {
         assert!(orpheus_gemm::simd_available());
-        assert_eq!(orpheus_gemm::dispatch_name(), "avx2+fma");
+        assert_eq!(orpheus_gemm::dispatch_name(), best_host_tier());
     } else {
         assert_eq!(orpheus_gemm::dispatch_name(), "scalar");
     }

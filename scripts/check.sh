@@ -15,9 +15,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test --workspace =="
 cargo test --workspace -q
 
+echo "== micro-kernel tiers (every tier this host supports) =="
+# Dispatch runs only the fastest tier, so on an AVX-512 host nothing above
+# exercises the AVX2 kernel. This proves scalar and every SIMD tier the CPU
+# supports bit for bit against its per-element chain on all three packed
+# drivers, and its log names each tier run and prints
+# "SKIPPED: <tier> (host lacks ...)" for each one the CPU cannot run.
+cargo test -q -p orpheus-gemm --lib packed::tier_tests -- --nocapture
+
 echo "== forced-scalar differential lane (ORPHEUS_FORCE_SCALAR=1) =="
-# On SIMD hosts the runtime dispatcher selects the AVX2+FMA micro-kernel,
-# so the default test run proves SIMD correctness. This lane re-runs the
+# On SIMD hosts the runtime dispatcher selects the fastest SIMD micro-kernel
+# (AVX-512, else AVX2+FMA), so the default test run proves SIMD correctness
+# on that tier. This lane re-runs the
 # scalar-vs-SIMD differential suites with the dispatcher pinned to the
 # scalar micro-kernel (through EngineBuilder's force_scalar default), so
 # the scalar path keeps its own green proof on every host.
