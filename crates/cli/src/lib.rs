@@ -4,8 +4,7 @@
 //! inference experiments, evaluating full networks, and individual layers".
 //! This crate is that infrastructure: each experiment from DESIGN.md's index
 //! is a function here, and the `orpheus-cli` binary exposes them as
-//! subcommands. The Criterion benches in `orpheus-bench` reuse the same
-//! functions, so the CLI and the benches always agree on methodology.
+//! subcommands.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -278,14 +277,14 @@ pub fn run_figure2(config: &Figure2Config) -> Result<Figure2Result, EngineError>
 pub fn run_table1(measured: bool) -> Result<String, EngineError> {
     let columns = Personality::ALL;
     let mut out = String::new();
-    out.push_str(&format!("{:<30}", "criterion"));
+    out.push_str(&format!("{:<30}", "feature"));
     for p in columns {
         out.push_str(&format!("{:>12}", p.models_framework()));
     }
     out.push('\n');
-    for (ci, criterion) in CAPABILITY_CRITERIA.iter().enumerate() {
+    for (ci, feature) in CAPABILITY_CRITERIA.iter().enumerate() {
         let is_perf = ci == CAPABILITY_CRITERIA.len() - 1;
-        out.push_str(&format!("{criterion:<30}"));
+        out.push_str(&format!("{feature:<30}"));
         if is_perf && measured {
             for p in columns {
                 let rating = measured_perf_rating(p)?;
@@ -483,9 +482,11 @@ pub fn profile_model(
     let network = engine.load(graph)?;
     let dims = [1, model.input_dims()[1], input_hw, input_hw];
     let input = Tensor::full(&dims, 0.5);
-    network.run(&input)?;
-    let (_, profile) = network.run_profiled(&input)?;
-    Ok(profile)
+    // Time the second run, so the record sees a warm arena.
+    let mut session = network.session();
+    session.run(&input)?;
+    session.run(&input)?;
+    Ok(session.profile())
 }
 
 /// Per-layer profile text for a model under a personality (the `layers`
@@ -707,8 +708,8 @@ mod tests {
     #[test]
     fn table1_static_matches_paper_shape() {
         let text = run_table1(false).unwrap();
-        for criterion in CAPABILITY_CRITERIA {
-            assert!(text.contains(criterion), "missing {criterion}");
+        for feature in CAPABILITY_CRITERIA {
+            assert!(text.contains(feature), "missing {feature}");
         }
         assert!(text.contains("Orpheus"));
         assert!(text.contains("TF-Lite"));
@@ -945,8 +946,8 @@ pub fn with_recording<T>(
 }
 
 /// Everything the `profile` subcommand reports: the raw span trace, the
-/// metrics snapshot, a per-layer [`orpheus::Profile`] rebuilt from the first
-/// timed run's spans, and multi-run latency statistics.
+/// metrics snapshot, the session's per-layer record of the first timed run,
+/// and multi-run latency statistics.
 #[derive(Debug, Clone)]
 pub struct TraceReport {
     /// All spans recorded across load and the timed runs.
@@ -985,7 +986,7 @@ pub fn run_traced_profile(
     let dims = [1, model.input_dims()[1], input_hw, input_hw];
     let input = Tensor::full(&dims, 0.5);
     let runs = runs.max(1);
-    let (outcome, trace, metrics) = with_recording(|| -> Result<(), EngineError> {
+    let (outcome, trace, metrics) = with_recording(|| -> Result<orpheus::Profile, EngineError> {
         let network = engine.load_onnx(&bytes)?;
         // One session across all runs, mirroring a deployed steady state.
         // Warm-up is invisible to the recorder: only steady-state runs land
@@ -995,31 +996,20 @@ pub fn run_traced_profile(
         let warmup = session.run(&input).map(|_| ());
         orpheus_observe::enable();
         warmup?;
-        for _ in 0..runs {
+        // The per-layer table describes one pass: the first timed run's.
+        session.run(&input)?;
+        let profile = session.profile();
+        for _ in 1..runs {
             session.run(&input)?;
         }
-        Ok(())
+        Ok(profile)
     });
-    outcome?;
+    let profile = outcome?;
     let latency = metrics
         .histograms
         .get("run.latency_us")
         .map(LatencyStats::from_histogram)
         .unwrap_or_else(|| LatencyStats::from_samples(Vec::new()));
-    // The per-layer table describes ONE pass over the network, so rebuild it
-    // from the first timed run's subtree only.
-    let profile = match trace.by_category("session").find(|s| s.name == "run") {
-        Some(run) => {
-            let spans = trace
-                .spans
-                .iter()
-                .filter(|s| s.id == run.id || s.parent == Some(run.id))
-                .cloned()
-                .collect();
-            orpheus::Profile::from_trace(&orpheus_observe::Trace { spans })
-        }
-        None => orpheus::Profile::from_trace(&trace),
-    };
     Ok(TraceReport {
         trace,
         metrics,
@@ -1255,8 +1245,14 @@ mod observe_tests {
         assert!(h.count() >= 3);
         assert!(report.latency.p50_us > 0);
         assert!(report.latency.p99_us >= report.latency.p50_us);
-        // The per-layer table covers exactly one pass over the network.
-        assert_eq!(report.profile.timings.len(), layers);
+        // The per-layer table is the session's record of one pass: the rows
+        // `layers` prints, view-moved flatten included, and the plan's memory.
+        let layer_view = profile_model(Personality::Orpheus, ModelKind::TinyCnn, 8, 1).unwrap();
+        let names = |p: &orpheus::Profile| p.timings.iter().map(|r| r.name.clone()).collect();
+        let rows: Vec<String> = names(&report.profile);
+        assert_eq!(rows, names(&layer_view));
+        assert!(rows.iter().any(|name| name == "fc_8.flatten"), "{rows:?}");
+        assert_eq!(report.profile.memory, layer_view.memory);
         let json = report.metrics.to_json();
         assert!(json.contains("run.latency_us"));
         assert!(!report.trace.to_chrome_trace().is_empty());

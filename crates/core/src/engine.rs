@@ -1,7 +1,6 @@
 //! The engine (model loading) and network (execution) types.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use orpheus_graph::{passes::PassManager, Graph};
 use orpheus_observe as observe;
@@ -12,7 +11,6 @@ use orpheus_threads::ThreadPool;
 use crate::error::EngineError;
 use crate::fault::FaultMode;
 use crate::lower::{lower, Plan, PlanStep};
-use crate::memory::MemoryStats;
 use crate::personality::{Personality, ThreadPolicy};
 use crate::plan::MemoryPlan;
 use crate::profile::Profile;
@@ -569,24 +567,16 @@ impl Network {
         ))
     }
 
-    /// Runs one inference in a fresh session, returning per-layer timings
-    /// (one row per plan step) and the memory statistics of the plan the
-    /// session ran.
+    /// Runs one inference in a fresh session and returns its output with
+    /// the session's per-layer record of that run ([`Session::profile`]).
     ///
     /// # Errors
     ///
     /// See [`Network::run`].
     pub fn run_profiled(&self, input: &Tensor) -> Result<(Tensor, Profile), EngineError> {
         let mut session = self.session();
-        let mut timings = Vec::with_capacity(self.num_layers());
-        let start = Instant::now();
-        let output = session.run_with(input, Some(&mut timings))?.clone();
-        let profile = Profile {
-            timings,
-            total: start.elapsed(),
-            memory: MemoryStats::from_plan(self.memory_plan()),
-        };
-        Ok((output, profile))
+        let output = session.run(input)?.clone();
+        Ok((output, session.profile()))
     }
 }
 

@@ -149,7 +149,7 @@ impl Personality {
     }
 
     /// Capability ratings for the five Table I criteria (1–3 scale, in
-    /// [`CAPABILITY_CRITERIA`] order). The "performance" criterion is left
+    /// [`CAPABILITY_CRITERIA`] order). The "performance" row is left
     /// out — the CLI derives it from measurement (`table1 --measured`);
     /// the static value reproduces the paper's published rating.
     pub fn capabilities(&self) -> Capability {
@@ -194,9 +194,9 @@ impl Capability {
         }
     }
 
-    /// Rating for a criterion index (0–4).
-    pub fn rating(&self, criterion: usize) -> u8 {
-        self.ratings[criterion]
+    /// Rating for a Table I row index (0–4).
+    pub fn rating(&self, row: usize) -> u8 {
+        self.ratings[row]
     }
 }
 

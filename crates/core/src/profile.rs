@@ -2,13 +2,14 @@
 //!
 //! The paper's evaluation workflow — "infrastructure to run multiple
 //! inference experiments, evaluating full networks, and individual layers" —
-//! needs per-layer timings; the session executor produces one
-//! [`LayerTiming`] per plan step on profiled runs.
+//! needs per-layer timings. Every session run records each plan step's wall
+//! time, and [`Session::profile`](crate::Session::profile) reads that record
+//! back as a [`Profile`] with one [`LayerTiming`] per step.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use orpheus_observe::{json::escape, Trace};
+use orpheus_observe::json::escape;
 
 use crate::memory::MemoryStats;
 
@@ -53,43 +54,6 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Rebuilds a per-layer profile from a recorded trace (see
-    /// `orpheus-observe`): every `"layer"`-category span becomes one
-    /// [`LayerTiming`], the enclosing session `"run"` span (when present)
-    /// provides the end-to-end total. Memory statistics are not recoverable
-    /// from a trace and are left at their defaults.
-    pub fn from_trace(trace: &Trace) -> Profile {
-        let mut timings: Vec<(f64, LayerTiming)> = trace
-            .by_category("layer")
-            .map(|span| {
-                (
-                    span.start_us,
-                    LayerTiming {
-                        name: span.name.clone(),
-                        op: Trace::attr_str(span, "op").unwrap_or("?").to_string(),
-                        implementation: Trace::attr_str(span, "implementation")
-                            .unwrap_or("?")
-                            .to_string(),
-                        duration: Duration::from_secs_f64(span.dur_us / 1e6),
-                        flops: Trace::attr_int(span, "flops").unwrap_or(0).max(0) as u64,
-                    },
-                )
-            })
-            .collect();
-        timings.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite timestamps"));
-        let total = trace
-            .by_category("session")
-            .filter(|s| s.name == "run")
-            .map(|s| Duration::from_secs_f64(s.dur_us / 1e6))
-            .max()
-            .unwrap_or_else(|| timings.iter().map(|(_, t)| t.duration).sum());
-        Profile {
-            timings: timings.into_iter().map(|(_, t)| t).collect(),
-            total,
-            memory: MemoryStats::default(),
-        }
-    }
-
     /// Total time grouped by operator family, descending.
     pub fn by_op(&self) -> Vec<(String, Duration)> {
         let mut map: BTreeMap<&str, Duration> = BTreeMap::new();
@@ -108,11 +72,6 @@ impl Profile {
         refs.sort_by_key(|t| std::cmp::Reverse(t.duration));
         refs.truncate(n);
         refs
-    }
-
-    /// Total FLOPs across all layers.
-    pub fn total_flops(&self) -> u64 {
-        self.timings.iter().map(|t| t.flops).sum()
     }
 
     /// Serializes the profile in Chrome trace-event format (load the file at
@@ -295,61 +254,6 @@ mod tests {
         };
         let text = p.render();
         assert!(text.contains('…'));
-    }
-
-    #[test]
-    fn from_trace_rebuilds_layer_table() {
-        use orpheus_observe::{AttrValue, SpanRecord};
-        let trace = Trace {
-            spans: vec![
-                SpanRecord {
-                    id: 3,
-                    parent: Some(1),
-                    name: "conv_1".into(),
-                    category: "layer",
-                    start_us: 60.0,
-                    dur_us: 40.0,
-                    tid: 0,
-                    attrs: vec![
-                        ("op", AttrValue::Str("Conv".into())),
-                        ("implementation", AttrValue::Str("spatial-pack".into())),
-                        ("flops", AttrValue::Int(2_000_000)),
-                    ],
-                },
-                SpanRecord {
-                    id: 2,
-                    parent: Some(1),
-                    name: "conv_0".into(),
-                    category: "layer",
-                    start_us: 10.0,
-                    dur_us: 50.0,
-                    tid: 0,
-                    attrs: vec![("op", AttrValue::Str("Conv".into()))],
-                },
-                SpanRecord {
-                    id: 1,
-                    parent: None,
-                    name: "run".into(),
-                    category: "session",
-                    start_us: 0.0,
-                    dur_us: 120.0,
-                    tid: 0,
-                    attrs: vec![],
-                },
-            ],
-        };
-        let p = Profile::from_trace(&trace);
-        // Layers come back in execution (start-time) order.
-        assert_eq!(p.timings.len(), 2);
-        assert_eq!(p.timings[0].name, "conv_0");
-        assert_eq!(p.timings[1].name, "conv_1");
-        assert_eq!(p.timings[1].implementation, "spatial-pack");
-        assert_eq!(p.timings[1].flops, 2_000_000);
-        assert_eq!(p.timings[0].implementation, "?");
-        // The session run span (120 us) outlasts its layer children (90 us):
-        // the total keeps the executor overhead between layers.
-        assert_eq!(p.total, Duration::from_micros(120));
-        assert_eq!(p.total_flops(), 2_000_000);
     }
 
     #[test]

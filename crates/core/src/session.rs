@@ -12,9 +12,14 @@
 //! [`Network::run`](crate::Network::run) is a thin wrapper that creates a
 //! throwaway session; batch workloads should hold one session (or use
 //! [`Network::run_batch`](crate::Network::run_batch)) to amortise the arena.
+//!
+//! Every run also stamps the wall time of each plan step into a vector the
+//! session preallocates; [`Session::profile`] turns that record into
+//! per-layer rows when it is read, so timing a layer costs a run one clock
+//! read per step and no allocation.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use orpheus_observe as observe;
 use orpheus_tensor::{Shape, Tensor};
@@ -22,9 +27,10 @@ use orpheus_threads::ThreadPool;
 
 use crate::error::EngineError;
 use crate::layer::Layer;
-use crate::lower::Plan;
+use crate::lower::{Plan, PlanStep};
+use crate::memory::MemoryStats;
 use crate::plan::{elems, MemoryPlan};
-use crate::profile::LayerTiming;
+use crate::profile::{LayerTiming, Profile};
 
 /// Steps with at most this many inputs borrow their input refs from a stack
 /// array; wider fan-in (absent from the model zoo) falls back to a `Vec`.
@@ -91,6 +97,11 @@ pub struct Session {
     /// where a `Some` entry replaces the step's selected layer. Empty for
     /// ordinary sessions, so the happy path pays nothing.
     reference: Vec<Option<Box<dyn Layer>>>,
+    /// Wall time of each plan step in the last run, in nanoseconds. One
+    /// vector serves every bucket, because all buckets share `plan.steps`.
+    step_ns: Vec<u64>,
+    /// Wall time of the last run, in nanoseconds.
+    run_ns: u64,
     /// Placeholder for the input-ref stack array.
     empty: Tensor,
 }
@@ -149,6 +160,8 @@ impl Session {
             active: 0,
             padded_output: None,
             reference,
+            step_ns: vec![0; plan.steps.len()],
+            run_ns: 0,
             empty: Tensor::zeros(&[0]),
             plan,
             pool,
@@ -210,6 +223,44 @@ impl Session {
 
     fn memory_plan(&self) -> &MemoryPlan {
         &self.plan.buckets[self.active].memory
+    }
+
+    /// The per-layer record of the last run: one row per plan step, view
+    /// moves included, in execution order.
+    ///
+    /// Each row names the layer that ran (the reference twin on a
+    /// [`Network::reference_session`](crate::Network::reference_session))
+    /// with its op, implementation and flops, next to the step's wall time.
+    /// A layer reports flops per image, so a row counts them over the
+    /// active bucket's whole batch, padded rows included: the work it timed.
+    /// `total` is the run's wall time, and `memory` describes the active
+    /// bucket's plan. The run only stamps durations; names are copied here,
+    /// when the record is read. Before the first run every duration is
+    /// zero, and after a failed run the steps it did not reach keep the
+    /// previous run's times.
+    pub fn profile(&self) -> Profile {
+        let images = self.plan.buckets[self.active].batch as u64;
+        let timings = self
+            .plan
+            .steps
+            .iter()
+            .enumerate()
+            .map(|(idx, step)| {
+                let layer = step_layer(&self.reference, step, idx);
+                LayerTiming {
+                    name: layer.name().to_string(),
+                    op: layer.op_name().to_string(),
+                    implementation: layer.implementation(),
+                    duration: Duration::from_nanos(self.step_ns[idx]),
+                    flops: layer.flops() * images,
+                }
+            })
+            .collect();
+        Profile {
+            timings,
+            total: Duration::from_nanos(self.run_ns),
+            memory: MemoryStats::from_plan(self.memory_plan()),
+        }
     }
 
     /// Re-arms the session after a fault without replanning: every live
@@ -308,16 +359,6 @@ impl Session {
     /// bucket of the loaded model (the message lists every accepted shape),
     /// or if a layer fails and has no reference fallback.
     pub fn run(&mut self, input: &Tensor) -> Result<&Tensor, EngineError> {
-        self.run_with(input, None)
-    }
-
-    /// [`Session::run`], additionally pushing one [`LayerTiming`] per plan
-    /// step into `timings` when given (the `Network::run_profiled` sink).
-    pub(crate) fn run_with(
-        &mut self,
-        input: &Tensor,
-        timings: Option<&mut Vec<LayerTiming>>,
-    ) -> Result<&Tensor, EngineError> {
         let (bucket, batch) = match self.select_bucket(input.dims()) {
             Ok(sel) => sel,
             Err(e) => {
@@ -326,7 +367,7 @@ impl Session {
             }
         };
         self.switch_bucket(bucket);
-        if let Err(e) = self.run_inner(input, timings) {
+        if let Err(e) = self.run_inner(input) {
             // Error paths are cold: stamp the flight recorder so a post-hoc
             // dump explains what the session was doing when it failed.
             observe::flight_record("session", "run.error", format!("{}: {e}", self.model));
@@ -494,12 +535,9 @@ impl Session {
         Ok(outputs)
     }
 
-    /// The one loop in the workspace that executes plan steps.
-    fn run_inner(
-        &mut self,
-        input: &Tensor,
-        mut timings: Option<&mut Vec<LayerTiming>>,
-    ) -> Result<(), EngineError> {
+    /// The one loop in the workspace that executes plan steps. It stamps
+    /// each step's wall time into `step_ns` with one clock read per step.
+    fn run_inner(&mut self, input: &Tensor) -> Result<(), EngineError> {
         let plan = Arc::clone(&self.plan);
         let bucket = &plan.buckets[self.active];
         let mp = &bucket.memory;
@@ -530,15 +568,9 @@ impl Session {
             );
         }
 
+        let mut mark = Instant::now();
         for (step_idx, step) in plan.steps.iter().enumerate() {
-            // Reference-preferring sessions (the circuit breaker's degraded
-            // path) swap in the prebuilt reference twin.
-            let layer: &dyn Layer = self
-                .reference
-                .get(step_idx)
-                .and_then(|l| l.as_deref())
-                .unwrap_or(step.layer.as_ref());
-            let layer_start = timings.as_ref().map(|_| Instant::now());
+            let layer = step_layer(&self.reference, step, step_idx);
             if mp.view_move[step_idx] {
                 // Pure view over a dying value: move the buffer, skip the
                 // layer entirely.
@@ -646,21 +678,30 @@ impl Session {
                     state.arena[mp.buffer_of[slot]] = data;
                 }
             }
-            if let (Some(sink), Some(layer_start)) = (timings.as_deref_mut(), layer_start) {
-                sink.push(LayerTiming {
-                    name: layer.name().to_string(),
-                    op: layer.op_name().to_string(),
-                    implementation: layer.implementation(),
-                    duration: layer_start.elapsed(),
-                    flops: layer.flops(),
-                });
-            }
+            let now = Instant::now();
+            self.step_ns[step_idx] = now.duration_since(mark).as_nanos() as u64;
+            mark = now;
         }
 
-        observe::histogram_record("run.latency_us", start.elapsed().as_micros() as u64);
+        self.run_ns = mark.duration_since(start).as_nanos() as u64;
+        observe::histogram_record("run.latency_us", self.run_ns / 1_000);
         drop(run_span);
         Ok(())
     }
+}
+
+/// The layer step `idx` runs: the prebuilt reference twin on
+/// reference-preferring sessions (the circuit breaker's degraded path), the
+/// selected layer otherwise.
+fn step_layer<'a>(
+    reference: &'a [Option<Box<dyn Layer>>],
+    step: &'a PlanStep,
+    idx: usize,
+) -> &'a dyn Layer {
+    reference
+        .get(idx)
+        .and_then(|l| l.as_deref())
+        .unwrap_or(step.layer.as_ref())
 }
 
 /// Wraps a per-input failure with the input's position in the batch, so a
@@ -845,6 +886,45 @@ mod tests {
         ];
         let err = session.run_batch(&inputs).unwrap_err().to_string();
         assert!(err.contains("input #1"), "failing index missing: {err}");
+    }
+
+    #[test]
+    fn record_has_one_row_per_plan_step_at_a_between_rung_batch() {
+        let mut session = batched_network(4).session();
+        let start = std::time::Instant::now();
+        session.run(&batch_input(3, 2)).unwrap(); // padded into bucket 4
+        let wall = start.elapsed();
+        let profile = session.profile();
+        let steps = &session.plan.steps;
+        assert_eq!(profile.timings.len(), steps.len());
+        assert!(session.memory_plan().view_move.contains(&true));
+        for (row, step) in profile.timings.iter().zip(steps.iter()) {
+            let layer = &step.layer;
+            assert_eq!(
+                (row.name.as_str(), row.op.as_str()),
+                (layer.name(), layer.op_name())
+            );
+            assert_eq!(row.implementation, layer.implementation());
+            assert_eq!(row.flops, layer.flops() * 4, "flops cover the bucket");
+        }
+        let layer_sum: std::time::Duration = profile.timings.iter().map(|t| t.duration).sum();
+        assert!(layer_sum <= profile.total && profile.total <= wall);
+        assert_eq!(profile.memory.peak_bytes, session.arena_bytes());
+    }
+
+    #[test]
+    fn reference_session_records_the_reference_twins() {
+        let mut session = tiny_network().reference_session();
+        session.run(&batch_input(1, 0)).unwrap();
+        let rows = session.profile().timings;
+        let mut twins = 0;
+        for (row, twin) in rows.iter().zip(&session.reference) {
+            if let Some(twin) = twin {
+                assert_eq!(row.implementation, twin.implementation());
+                twins += 1;
+            }
+        }
+        assert!(twins > 0, "no step has a reference twin");
     }
 
     #[test]

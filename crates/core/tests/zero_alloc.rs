@@ -89,6 +89,17 @@ fn assert_steady_state_zero_alloc(network: &Network) {
          ({} allocation(s) over 5 runs)",
         after - before
     );
+    // Every run stamps the per-step record, so the runs counted above
+    // filled it: one timed row per plan step, read outside the window.
+    let profile = session.profile();
+    assert_eq!(profile.timings.len(), network.num_layers(), "{model}");
+    assert!(profile.total.as_nanos() > 0, "{model}: record not stamped");
+    let layer_sum: std::time::Duration = profile.timings.iter().map(|t| t.duration).sum();
+    assert!(
+        layer_sum <= profile.total,
+        "{model}: {layer_sum:?} > {:?}",
+        profile.total
+    );
 }
 
 #[test]

@@ -6,11 +6,13 @@
 //! wants the *aggregate* view: for each layer (and for each selection
 //! algorithm), how much wall time did it account for across all runs, and
 //! how much of that was spent in the layer itself versus in instrumented
-//! children? [`Attribution::from_trace`] computes exactly that fold, so the
-//! CLI's `profile --report` and `bench` share one definition of
-//! "self time": span duration minus the duration of its direct children
-//! *recorded on the same thread* (cross-thread children overlap their
-//! parent in wall time, so subtracting them would over-discount).
+//! children? [`Attribution::from_trace`] computes exactly that fold for the
+//! CLI's `profile --report`. It is the only fold of a trace into per-layer
+//! rows; the plain per-layer table comes from the session's own per-step
+//! record, not from spans. "Self time" is span duration minus the duration
+//! of its direct children *recorded on the same thread* (cross-thread
+//! children overlap their parent in wall time, so subtracting them would
+//! over-discount).
 
 use std::collections::BTreeMap;
 

@@ -14,8 +14,7 @@
 //!   paper observes in PyTorch).
 //! * **Dense**, **pooling**, **batch-norm**, **activations**, **softmax**,
 //!   **element-wise**, **concat**, **pad** and **reduce** cover the
-//!   remainder of the five evaluation models and common exporter patterns;
-//!   [`quant`] adds the INT8 post-training-quantization extension.
+//!   remainder of the five evaluation models and common exporter patterns.
 //!
 //! Every algorithm is validated against a reference implementation in this
 //! crate's test suite, mirroring the paper's "suite of unit tests to ensure
@@ -47,7 +46,6 @@ mod error;
 pub mod norm;
 pub mod pad;
 pub mod pool;
-pub mod quant;
 pub mod reduce;
 pub mod softmax;
 

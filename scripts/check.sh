@@ -66,6 +66,16 @@ trap 'rm -rf "$LINT_TMP"' EXIT
 ./target/release/orpheus-cli export --model wrn40_2 --out "$LINT_TMP/wrn40_2.onnx"
 ./target/release/orpheus-cli lint "$LINT_TMP/wrn40_2.onnx" --json > /dev/null
 
+echo "== profile smoke (release: the session's per-layer record) =="
+# `profile` prints the session's record of its first timed run: one row per
+# plan step (the view-moved flatten included) and the plan's arena as the
+# peak activation memory; --report adds the span-trace attribution.
+./target/release/orpheus-cli profile --model tiny_cnn --runs 2 --report \
+  | tee "$LINT_TMP/profile.txt"
+grep -q "^fc_8.flatten " "$LINT_TMP/profile.txt"
+grep -Eq "peak activation memory [0-9.]*[1-9]" "$LINT_TMP/profile.txt"
+grep -q "^per-layer attribution" "$LINT_TMP/profile.txt"
+
 echo "== plan soundness (release, all zoo models x full bucket ladder) =="
 # The static execution-plan checker (ORV015-ORV022) proves every model's
 # arena-reuse plan sound at every batch bucket up to 8: no use after

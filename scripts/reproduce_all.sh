@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Regenerates every experiment artifact in results/ (see EXPERIMENTS.md).
-# Takes ~10 minutes on one core, plus ~45 minutes if BENCH=1.
+# Takes ~10 minutes on one core.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,8 +40,4 @@ echo "== Python bindings round trip =="
 $CLI export --model lenet --out /tmp/lenet.onnx
 (cd bindings/python && python3 demo.py /tmp/lenet.onnx)
 
-if [ "${BENCH:-0}" = "1" ]; then
-  echo "== Criterion benches =="
-  cargo bench --workspace 2>&1 | tee bench_output.txt
-fi
 echo "all experiments regenerated"
