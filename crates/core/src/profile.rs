@@ -118,7 +118,7 @@ impl Profile {
             out.push_str(&format!(
                 "{:<28} {:>10} {:<22} {:>12.1} {:>9}\n",
                 truncate(&t.name, 28),
-                t.op,
+                truncate(&t.op, 10),
                 truncate(&t.implementation, 22),
                 t.duration.as_secs_f64() * 1e6,
                 gf
@@ -254,6 +254,23 @@ mod tests {
         };
         let text = p.render();
         assert!(text.contains('…'));
+    }
+
+    #[test]
+    fn render_keeps_the_time_column_under_its_header() {
+        let p = Profile {
+            timings: vec![timing("gap_7", "GlobalAveragePool", 10, 0)],
+            ..Profile::default()
+        };
+        let text = p.render();
+        let lines: Vec<Vec<char>> = text.lines().map(|l| l.chars().collect()).collect();
+        // Layer (28), op (10) and implementation (22) columns, each followed
+        // by one space, come before the 12-wide time column.
+        let start = 28 + 1 + 10 + 1 + 22 + 1;
+        let time_cell = |line: &[char]| line[start..start + 12].iter().collect::<String>();
+        assert_eq!(time_cell(&lines[0]).trim(), "time (us)");
+        assert_eq!(time_cell(&lines[1]).trim(), "10.0");
+        assert!(text.contains(" GlobalAve… "), "{text}");
     }
 
     #[test]

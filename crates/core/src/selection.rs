@@ -79,19 +79,16 @@ fn heuristic(params: &Conv2dParams) -> ConvAlgorithm {
     supported_or_fallback(ConvAlgorithm::DepthwiseDirect, params)
 }
 
-/// Candidate set for auto-tuning a given geometry. The pinned-scalar GEMM
-/// tier and spatial pack are left out: on WRN-40-2 and MobileNetV1 neither
-/// wins a layer with its own kernel. Both stay reachable through
-/// [`SelectionPolicy::Fixed`].
+/// Candidate set for auto-tuning a given geometry: packed GEMM, plus the
+/// dedicated kernel where the layer is depthwise, so a dense convolution
+/// has nothing to choose between. The pinned-scalar GEMM tier and spatial
+/// pack are left out: on WRN-40-2 and MobileNetV1 neither wins a layer with
+/// its own kernel. Both stay reachable through [`SelectionPolicy::Fixed`].
 pub(crate) fn candidates(params: &Conv2dParams) -> Vec<ConvAlgorithm> {
-    [
-        ConvAlgorithm::default(),
-        ConvAlgorithm::Winograd,
-        ConvAlgorithm::DepthwiseDirect,
-    ]
-    .into_iter()
-    .filter(|a| a.supports(params))
-    .collect()
+    [ConvAlgorithm::default(), ConvAlgorithm::DepthwiseDirect]
+        .into_iter()
+        .filter(|a| a.supports(params))
+        .collect()
 }
 
 /// Times each candidate's `run_into` on a synthetic input of the layer's
@@ -163,9 +160,9 @@ mod tests {
 
     #[test]
     fn fixed_policy_falls_back_for_depthwise() {
-        // Winograd cannot run depthwise; policy must substitute.
+        // Spatial pack cannot run depthwise; policy must substitute.
         let p = Conv2dParams::depthwise(16, 3).with_padding(1, 1);
-        let algo = SelectionPolicy::Fixed(ConvAlgorithm::Winograd).select(
+        let algo = SelectionPolicy::Fixed(ConvAlgorithm::SpatialPack).select(
             &p,
             32,
             32,
@@ -221,7 +218,6 @@ mod tests {
             SelectionPolicy::Heuristic,
             SelectionPolicy::Fixed(ConvAlgorithm::DepthwiseDirect),
             SelectionPolicy::Fixed(ConvAlgorithm::SpatialPack),
-            SelectionPolicy::Fixed(ConvAlgorithm::Winograd),
         ] {
             assert_eq!(
                 policy.select(&past_cap, 16, 16, &pool),
@@ -237,9 +233,9 @@ mod tests {
         let dw = Conv2dParams::depthwise(8, 3);
         let c = candidates(&dw);
         assert!(c.contains(&ConvAlgorithm::DepthwiseDirect));
-        assert!(!c.contains(&ConvAlgorithm::Winograd));
-        let strided = Conv2dParams::square(8, 8, 3).with_stride(2, 2);
-        assert!(!candidates(&strided).contains(&ConvAlgorithm::Winograd));
+        assert!(!c.contains(&ConvAlgorithm::SpatialPack));
+        let dense = Conv2dParams::square(8, 8, 3).with_padding(1, 1);
+        assert_eq!(candidates(&dense), [ConvAlgorithm::default()]);
     }
 
     #[test]

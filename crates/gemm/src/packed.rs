@@ -25,11 +25,11 @@
 //! tiles that consume it: it lives and dies in L1, and one panel per thread
 //! is the only B-side scratch. The loader is what separates a plain GEMM
 //! (row-major `B`) from an implicit-GEMM convolution (the column matrix
-//! gathered from the image, never materialised). [`gemm_packed`] (both
-//! operands packed on the fly) and [`gemm_prepacked_b`] (dense layers) keep
-//! their own, simpler nests.
-
-use std::time::{Duration, Instant};
+//! gathered from the image, never materialised). This is the one A-side
+//! nest: [`gemm_packed`], behind the public [`crate::gemm`], packs its `A`
+//! into thread-local scratch in the same layout and runs it too. Only
+//! [`gemm_prepacked_b`] (dense layers, weights on the right) keeps a nest of
+//! its own.
 
 use orpheus_threads::ThreadPool;
 
@@ -54,7 +54,9 @@ const KC: usize = 256;
 /// `NR`-wide tile; [`gemm_small_n`] takes over.
 pub(crate) const SMALL_N: usize = 16;
 
-/// Packed-panel GEMM: `C = A·B + beta·C`.
+/// Packed-panel GEMM: `C = A·B + beta·C`. `A` is packed into thread-local
+/// scratch in the layout [`PackedWeights::pack_a`] builds, then the
+/// prepacked-A nest runs over a row-major loader of `B`.
 #[allow(clippy::too_many_arguments)] // BLAS-style signature
 pub(crate) fn gemm_packed(
     mk: &dyn MicroKernel,
@@ -76,68 +78,14 @@ pub(crate) fn gemm_packed(
         n >= SMALL_N || cfg!(test),
         "driver routes n < SMALL_N to gemm_small_n"
     );
-    scale_c(m, n, c, ldc, beta);
-    if k == 0 {
-        return;
-    }
-
-    let mut a_pack = orpheus_threads::take_scratch(MC * KC);
-    let mut b_pack = orpheus_threads::take_scratch(KC * n.div_ceil(NR) * NR);
-
-    // Pack vs. compute attribution, recorded only while tracing is on so the
-    // production path keeps its single atomic-load cost.
-    let tracing = orpheus_observe::enabled();
-    let mut gemm_span = orpheus_observe::span("gemm_packed", "gemm");
-    let mut pack_time = Duration::ZERO;
-    let mut compute_time = Duration::ZERO;
-
-    for p0 in (0..k).step_by(KC) {
-        let kc = KC.min(k - p0);
-        let t = tracing.then(Instant::now);
-        pack_b(&mut b_pack, b, ldb, p0, kc, n);
-        if let Some(t) = t {
-            pack_time += t.elapsed();
-        }
-        for i0 in (0..m).step_by(MC) {
-            let mc = MC.min(m - i0);
-            let t = tracing.then(Instant::now);
-            pack_a(&mut a_pack, a, lda, i0, mc, p0, kc);
-            if let Some(t) = t {
-                pack_time += t.elapsed();
-            }
-            let t = tracing.then(Instant::now);
-            // Multiply the packed panels: iterate register tiles of C.
-            for jr in (0..n).step_by(NR) {
-                let nr = NR.min(n - jr);
-                let b_panel = &b_pack[(jr / NR) * kc * NR..(jr / NR + 1) * kc * NR];
-                for ir in (0..mc).step_by(MR) {
-                    let mr = MR.min(mc - ir);
-                    let a_panel = &a_pack[(ir / MR) * kc * MR..(ir / MR + 1) * kc * MR];
-                    if mr == MR && nr == NR {
-                        mk.tile_full(a_panel, b_panel, kc, c, ldc, i0 + ir, jr);
-                    } else {
-                        mk.tile_edge(a_panel, b_panel, kc, c, ldc, i0 + ir, jr, mr, nr);
-                    }
-                }
-            }
-            if let Some(t) = t {
-                compute_time += t.elapsed();
-            }
-        }
-    }
-
-    if tracing {
-        let pack_us = pack_time.as_secs_f64() * 1e6;
-        let compute_us = compute_time.as_secs_f64() * 1e6;
-        gemm_span.attr("m", m);
-        gemm_span.attr("n", n);
-        gemm_span.attr("k", k);
-        gemm_span.attr("isa", mk.name());
-        gemm_span.attr("pack_us", pack_us);
-        gemm_span.attr("compute_us", compute_us);
-        orpheus_observe::counter_add("gemm.pack_us", pack_us as u64);
-        orpheus_observe::counter_add("gemm.compute_us", compute_us as u64);
-    }
+    let mut a_pack = orpheus_threads::take_scratch(m.div_ceil(MR) * MR * k);
+    pack_a_blocks(&mut a_pack, a, lda, m, k);
+    let loader = PanelLoader {
+        data: b,
+        image_stride: 0,
+        layout: PanelLayout::RowMajor { ldb, n },
+    };
+    prepacked_a_band(mk, &a_pack, m, k, &loader, 0..1, 0, m, c, ldc, 0, beta);
 }
 
 /// GEMM for narrow outputs (`n < SMALL_N`), covering GEMV (`n == 1`, the
@@ -215,21 +163,8 @@ impl PackedWeights {
             k == 0 || m == 0 || a.len() >= (m - 1) * lda + k,
             "weight buffer too small"
         );
-        let m_tiles = m.div_ceil(MR);
-        let mut data = vec![0.0f32; m_tiles * MR * k];
-        for p0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - p0);
-            let blk = m_tiles * MR * p0;
-            pack_a(
-                &mut data[blk..blk + m_tiles * MR * kc],
-                a,
-                lda,
-                0,
-                m,
-                p0,
-                kc,
-            );
-        }
+        let mut data = vec![0.0f32; m.div_ceil(MR) * MR * k];
+        pack_a_blocks(&mut data, a, lda, m, k);
         PackedWeights {
             side: PackedSide::A { m },
             k,
@@ -389,33 +324,16 @@ pub fn gemm_prepacked_a(
     ldc: usize,
     beta: f32,
 ) {
-    let pool = ThreadPool::single();
-    gemm_prepacked_a_parallel(kernel, &pool, weights, n, b, ldb, c, ldc, beta);
-}
-
-/// Parallel [`gemm_prepacked_a`]: splits the rows of `C` into register-tile
-/// aligned bands across the pool's threads.
-#[allow(clippy::too_many_arguments)] // BLAS-style signature
-pub fn gemm_prepacked_a_parallel(
-    kernel: GemmKernel,
-    pool: &ThreadPool,
-    weights: &PackedWeights,
-    n: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    beta: f32,
-) {
     let loader = PanelLoader {
         data: b,
         image_stride: 0,
         layout: PanelLayout::RowMajor { ldb, n },
     };
-    gemm_prepacked_a_images(kernel, pool, weights, &loader, 1, c, ldc, 0, beta);
+    let pool = ThreadPool::single();
+    gemm_prepacked_a_images(kernel, &pool, weights, &loader, 1, c, ldc, 0, beta);
 }
 
-/// The prepacked-A driver behind both functions above and GEMM convolution:
+/// The prepacked-A driver behind [`gemm_prepacked_a`] and GEMM convolution:
 /// `C[img] = packed_A·B[img] + beta·C[img]` for `images` right-hand operands
 /// drawn from `loader`. Image `img`'s `m x n` result (leading dimension
 /// `ldc`) lands at `c[img * c_image_stride..]`. The images are walked inside
@@ -466,7 +384,7 @@ fn prepacked_a_images(
     c_image_stride: usize,
     beta: f32,
 ) {
-    let (m, n) = (weights.out_rows(), loader.n());
+    let (m, k, n) = (weights.out_rows(), weights.k, loader.n());
     if m == 0 || n == 0 || images == 0 {
         return;
     }
@@ -477,13 +395,15 @@ fn prepacked_a_images(
         images == 1 || c_image_stride >= (m - 1) * ldc + n,
         "C images overlap"
     );
-    loader.check(weights.k, images);
+    loader.check(k, images);
     crate::driver::count_dispatch(mk.name());
     // Row bands need every image of C addressable as m whole rows of ldc.
     if pool.num_threads() == 1 || m <= MR || c.len() < last + m * ldc {
         prepacked_a_band(
             mk,
-            weights,
+            &weights.data,
+            m,
+            k,
             loader,
             0..images,
             0,
@@ -504,7 +424,9 @@ fn prepacked_a_images(
             let rows = band.len() / ldc;
             prepacked_a_band(
                 mk,
-                weights,
+                &weights.data,
+                m,
+                k,
                 loader,
                 img..img + 1,
                 row0,
@@ -518,14 +440,17 @@ fn prepacked_a_images(
     }
 }
 
-/// The prepacked-A loop nest: computes rows `row0..row0 + rows` of
-/// `C[img] = packed_A·B[img] + beta·C[img]` for every image in `imgs`. `c`
-/// starts at row `row0` of the first image (`row0 % MR == 0`); later images
-/// follow `c_image_stride` apart.
+/// The one A-side loop nest: computes rows `row0..row0 + rows` of
+/// `C[img] = A·B[img] + beta·C[img]` for every image in `imgs`, where `a` is
+/// the `m x k` left operand packed by [`pack_a_blocks`]. `c` starts at row
+/// `row0` of the first image (`row0 % MR == 0`); later images follow
+/// `c_image_stride` apart.
 #[allow(clippy::too_many_arguments)]
 fn prepacked_a_band(
     mk: &dyn MicroKernel,
-    weights: &PackedWeights,
+    a: &[f32],
+    m: usize,
+    k: usize,
     loader: &PanelLoader,
     imgs: std::ops::Range<usize>,
     row0: usize,
@@ -536,14 +461,14 @@ fn prepacked_a_band(
     beta: f32,
 ) {
     debug_assert_eq!(row0 % MR, 0, "band must start on a register-tile row");
-    let (n, k) = (loader.n(), weights.k);
+    let n = loader.n();
     for i in 0..imgs.len() {
         scale_c(rows, n, &mut c[i * c_image_stride..], ldc, beta);
     }
     if k == 0 {
         return;
     }
-    let m_tiles = weights.out_rows().div_ceil(MR);
+    let m_tiles = m.div_ceil(MR);
 
     let mut panel = orpheus_threads::take_scratch(KC * NR);
 
@@ -571,7 +496,7 @@ fn prepacked_a_band(
                 for ir in (0..rows).step_by(MR) {
                     let mr = MR.min(rows - ir);
                     let tile = (row0 + ir) / MR;
-                    let a_panel = &weights.data[blk + tile * kc * MR..blk + (tile + 1) * kc * MR];
+                    let a_panel = &a[blk + tile * kc * MR..blk + (tile + 1) * kc * MR];
                     if mr == MR && nr == NR {
                         mk.tile_full(a_panel, b_panel, kc, c, ldc, ir, jr);
                     } else {
@@ -686,11 +611,14 @@ fn pack_a(dst: &mut [f32], a: &[f32], lda: usize, i0: usize, mc: usize, p0: usiz
     }
 }
 
-/// Packs a `kc x n` panel of `B` into micro-panels of `NR` columns:
-/// element order is `[tile][p][c]`. Ragged tiles are zero-padded.
-fn pack_b(dst: &mut [f32], b: &[f32], ldb: usize, p0: usize, kc: usize, n: usize) {
-    for (t, panel) in dst.chunks_mut(kc * NR).take(n.div_ceil(NR)).enumerate() {
-        pack_b_panel(panel, b, ldb, p0, kc, t * NR, n);
+/// Packs the whole `m x k` matrix `a` in the layout [`prepacked_a_band`]
+/// reads: one [`pack_a`] panel set per `KC` block, blocks in `k` order.
+fn pack_a_blocks(dst: &mut [f32], a: &[f32], lda: usize, m: usize, k: usize) {
+    let m_tiles = m.div_ceil(MR);
+    for p0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - p0);
+        let blk = m_tiles * MR * p0;
+        pack_a(&mut dst[blk..][..m_tiles * MR * kc], a, lda, 0, m, p0, kc);
     }
 }
 
@@ -796,10 +724,10 @@ mod tests {
     }
 
     #[test]
-    fn pack_b_zero_pads_ragged_tile() {
+    fn pack_b_panel_zero_pads_ragged_tile() {
         let b: Vec<f32> = (0..4).map(|x| x as f32 + 1.0).collect(); // 2x2
         let mut dst = vec![f32::NAN; 2 * NR];
-        pack_b(&mut dst, &b, 2, 0, 2, 2);
+        pack_b_panel(&mut dst, &b, 2, 0, 2, 0, 2);
         assert_eq!(&dst[0..2], &[1.0, 2.0]);
         assert!(dst[2..NR].iter().all(|&x| x == 0.0));
         assert_eq!(&dst[NR..NR + 2], &[3.0, 4.0]);
@@ -898,15 +826,14 @@ mod prepacked_tests {
                                 layout: PanelLayout::VirtualColumns(&params),
                             };
                             loader.check(k, 1);
-                            let mut want = vec![f32::NAN; KC * n.div_ceil(NR) * NR];
+                            let mut want = vec![f32::NAN; KC * NR];
                             let mut got = vec![f32::NAN; KC * NR];
                             for p0 in (0..k).step_by(KC) {
                                 let kc = KC.min(k - p0);
-                                pack_b(&mut want, &columns, n, p0, kc, n);
                                 for jr in (0..n).step_by(NR) {
+                                    pack_b_panel(&mut want, &columns, n, p0, kc, jr, n);
                                     loader.load(&mut got, 0, p0, kc, jr);
-                                    let want = &want[jr / NR * kc * NR..][..kc * NR];
-                                    let same = want
+                                    let same = want[..kc * NR]
                                         .iter()
                                         .zip(&got[..kc * NR])
                                         .all(|(w, g)| w.to_bits() == g.to_bits());
@@ -1007,18 +934,23 @@ mod prepacked_tests {
         let pw = PackedWeights::pack_a(&a, m, k, k);
         let mut serial = vec![0.0; m * n];
         gemm_prepacked_a(GemmKernel::PackedScalar, &pw, n, &b, n, &mut serial, n, 0.0);
+        let loader = PanelLoader {
+            data: &b,
+            image_stride: 0,
+            layout: PanelLayout::RowMajor { ldb: n, n },
+        };
         for threads in [2, 3, 5, 8] {
             let pool = ThreadPool::new(threads).unwrap();
             let mut par = vec![0.0; m * n];
-            gemm_prepacked_a_parallel(
+            gemm_prepacked_a_images(
                 GemmKernel::PackedScalar,
                 &pool,
                 &pw,
-                n,
-                &b,
-                n,
+                &loader,
+                1,
                 &mut par,
                 n,
+                0,
                 0.0,
             );
             assert_eq!(serial, par, "threads={threads}");

@@ -241,21 +241,21 @@ mod tests {
     fn by_algorithm_groups_and_orders() {
         let trace = Trace {
             spans: vec![
-                span(1, None, "conv_a", "layer", 0.0, 30.0, 0, Some("winograd")),
+                span(1, None, "conv_a", "layer", 0.0, 30.0, 0, Some("gemm")),
                 span(2, None, "conv_b", "layer", 30.0, 10.0, 0, Some("direct")),
-                span(3, None, "conv_c", "layer", 40.0, 25.0, 0, Some("winograd")),
+                span(3, None, "conv_c", "layer", 40.0, 25.0, 0, Some("gemm")),
             ],
         };
         let attr = Attribution::from_trace(&trace, "layer");
         let algos = attr.by_algorithm();
         assert_eq!(algos.len(), 2);
-        assert_eq!(algos[0].0, "winograd");
+        assert_eq!(algos[0].0, "gemm");
         assert_eq!(algos[0].1, 2);
         assert!((algos[0].2 - 55.0).abs() < 1e-9);
         assert_eq!(algos[1].0, "direct");
         let text = attr.render();
         assert!(text.contains("conv_a") && text.contains("self%"));
-        assert!(attr.render_by_algorithm().contains("winograd"));
+        assert!(attr.render_by_algorithm().contains("gemm"));
     }
 
     #[test]

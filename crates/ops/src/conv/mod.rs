@@ -9,7 +9,6 @@
 //! | [`ConvAlgorithm::Direct`] | DarkNet's naive direct convolution |
 //! | [`ConvAlgorithm::Im2colGemm`] | Orpheus (packed GEMM) and PyTorch (naive GEMM) |
 //! | [`ConvAlgorithm::SpatialPack`] | TVM's "spatial pack" ARM CPU primitive |
-//! | [`ConvAlgorithm::Winograd`] | Fast 3×3 algebra (an Orpheus extension point) |
 //! | [`ConvAlgorithm::DepthwiseDirect`] | A dedicated depthwise kernel (what PyTorch lacked, per the paper) |
 //!
 //! Each implementation lives in its own file, which owns the geometry it
@@ -22,7 +21,6 @@ mod depthwise;
 mod direct;
 mod im2col_gemm;
 mod spatial_pack;
-mod winograd;
 
 pub use depthwise::DEPTHWISE_MAX_TAPS;
 
@@ -241,9 +239,6 @@ pub enum ConvAlgorithm {
     /// TVM-style spatial packing: pre-packed weights, padded input, register
     /// tiles over output channels and width.
     SpatialPack,
-    /// Winograd F(2×2, 3×3). Only valid for 3×3, stride-1, dilation-1,
-    /// group-1 convolutions.
-    Winograd,
     /// Specialized direct depthwise kernel: a zero-bordered, phase-split
     /// copy of each plane under a register-accumulated stencil. Only valid
     /// when [`Conv2dParams::is_depthwise`] holds and the kernel has at most
@@ -267,7 +262,6 @@ impl ConvAlgorithm {
             | ConvAlgorithm::Im2colGemm(_)
             | ConvAlgorithm::Im2colGemmEager(_) => true,
             ConvAlgorithm::SpatialPack => spatial_pack::supports(params),
-            ConvAlgorithm::Winograd => winograd::supports(params),
             ConvAlgorithm::DepthwiseDirect => depthwise::supports(params),
         }
     }
@@ -282,7 +276,6 @@ impl ConvAlgorithm {
                 Box::new(im2col_gemm::Gemm::new(params, weight, tier, eager))
             }
             ConvAlgorithm::SpatialPack => Box::new(spatial_pack::pack_weights(params, weight)),
-            ConvAlgorithm::Winograd => Box::new(winograd::transform_weights(params, weight)),
             ConvAlgorithm::DepthwiseDirect => Box::new(depthwise::DepthwiseDirect),
         }
     }
@@ -295,7 +288,6 @@ impl fmt::Display for ConvAlgorithm {
             ConvAlgorithm::Im2colGemm(k) => write!(f, "im2col-gemm({k})"),
             ConvAlgorithm::Im2colGemmEager(k) => write!(f, "im2col-gemm-eager({k})"),
             ConvAlgorithm::SpatialPack => write!(f, "spatial-pack"),
-            ConvAlgorithm::Winograd => write!(f, "winograd"),
             ConvAlgorithm::DepthwiseDirect => write!(f, "depthwise-direct"),
         }
     }
@@ -574,16 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn winograd_support_matrix() {
-        let ok = Conv2dParams::square(8, 8, 3).with_padding(1, 1);
-        assert!(ConvAlgorithm::Winograd.supports(&ok));
-        let strided = ok.with_stride(2, 2);
-        assert!(!ConvAlgorithm::Winograd.supports(&strided));
-        let five = Conv2dParams::square(8, 8, 5);
-        assert!(!ConvAlgorithm::Winograd.supports(&five));
-    }
-
-    #[test]
     fn depthwise_direct_requires_depthwise() {
         assert!(ConvAlgorithm::DepthwiseDirect.supports(&Conv2dParams::depthwise(8, 3)));
         assert!(!ConvAlgorithm::DepthwiseDirect.supports(&Conv2dParams::square(8, 8, 3)));
@@ -608,7 +590,7 @@ mod tests {
     fn new_rejects_unsupported_algorithm() {
         let p = Conv2dParams::square(3, 8, 5);
         let w = Tensor::zeros(&[8, 3, 5, 5]);
-        let err = Conv2d::new(p, w, None, ConvAlgorithm::Winograd).unwrap_err();
+        let err = Conv2d::new(p, w, None, ConvAlgorithm::DepthwiseDirect).unwrap_err();
         assert!(matches!(err, OpError::Unsupported(_)));
     }
 
@@ -679,7 +661,6 @@ mod tests {
                 "im2col-gemm-eager(packed-scalar)",
             ),
             (SpatialPack, "spatial-pack"),
-            (Winograd, "winograd"),
             (DepthwiseDirect, "depthwise-direct"),
         ] {
             assert_eq!(algo.to_string(), name);

@@ -14,7 +14,7 @@ pub enum OpError {
     /// A tensor passed to the operator has the wrong shape.
     Shape(ShapeError),
     /// The selected algorithm does not support this configuration (e.g.
-    /// Winograd on a 5x5 kernel).
+    /// spatial pack on a depthwise convolution).
     Unsupported(String),
 }
 
@@ -50,9 +50,9 @@ mod tests {
     #[test]
     fn display_variants() {
         assert!(OpError::InvalidParams("x".into()).to_string().contains("x"));
-        assert!(OpError::Unsupported("winograd".into())
+        assert!(OpError::Unsupported("spatial-pack".into())
             .to_string()
-            .contains("winograd"));
+            .contains("spatial-pack"));
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! have multiple implementations which are selected at runtime*. This crate
 //! is where those implementations live:
 //!
-//! * **Convolution** ([`conv`]) ships six algorithm families — naive direct
+//! * **Convolution** ([`conv`]) ships five algorithm families — naive direct
 //!   (`darknet-sim`'s class), im2col+GEMM at three GEMM tiers with a
 //!   pointwise fast path (`orpheus`), an eager always-materialize im2col
-//!   variant (`pytorch-sim`), TVM-style spatial packing (`tvm-sim`),
-//!   Winograd F(2×2, 3×3), and two depthwise strategies (a specialized
-//!   direct kernel and the deliberately inefficient grouped-GEMM path the
-//!   paper observes in PyTorch).
+//!   variant (`pytorch-sim`), TVM-style spatial packing (`tvm-sim`), and a
+//!   specialized direct depthwise kernel; depthwise layers can also run as
+//!   the deliberately inefficient grouped GEMM the paper observes in
+//!   PyTorch.
 //! * **Dense**, **pooling**, **batch-norm**, **activations**, **softmax**,
 //!   **element-wise**, **concat**, **pad** and **reduce** cover the
 //!   remainder of the five evaluation models and common exporter patterns.

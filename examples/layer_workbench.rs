@@ -54,7 +54,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ConvAlgorithm::Im2colGemm(GemmKernel::Blocked),
             ConvAlgorithm::Im2colGemm(GemmKernel::Packed),
             ConvAlgorithm::SpatialPack,
-            ConvAlgorithm::Winograd,
         ] {
             let conv = Conv2d::new(params, weight.clone(), None, algo)?;
             let out = conv.run(&input, &pool)?; // warm-up + correctness

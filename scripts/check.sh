@@ -76,6 +76,16 @@ grep -q "^fc_8.flatten " "$LINT_TMP/profile.txt"
 grep -Eq "peak activation memory [0-9.]*[1-9]" "$LINT_TMP/profile.txt"
 grep -q "^per-layer attribution" "$LINT_TMP/profile.txt"
 
+echo "== reproduction-ablation smoke (release: sweep + policy) =="
+# The two ablations only scripts/reproduce_all.sh runs at full size: both
+# must exit 0, and the sweep times exactly the three algorithms that run a
+# dense 3x3 layer.
+./target/release/orpheus-cli sweep --channels 4 --hws 8 > "$LINT_TMP/sweep.csv"
+cut -d, -f3 "$LINT_TMP/sweep.csv" | tail -n +2 | sort > "$LINT_TMP/sweep_algos.txt"
+printf '%s\n' direct 'im2col-gemm(packed)' spatial-pack | sort \
+  | diff - "$LINT_TMP/sweep_algos.txt"
+./target/release/orpheus-cli policy --model tiny_cnn --hw 8 --repeats 1
+
 echo "== plan soundness (release, all zoo models x full bucket ladder) =="
 # The static execution-plan checker (ORV015-ORV022) proves every model's
 # arena-reuse plan sound at every batch bucket up to 8: no use after
