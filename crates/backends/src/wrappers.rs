@@ -9,7 +9,7 @@ use std::error::Error;
 use std::fmt;
 
 use orpheus_ops::conv::Conv2dParams;
-use orpheus_tensor::Tensor;
+use orpheus_tensor::{Tensor, TensorMut, TensorRef};
 
 use crate::vcl::{PadStrideInfo, TensorInfo, VclConvolutionLayer};
 use crate::vnnl::{
@@ -88,7 +88,11 @@ impl VnnlConv {
     /// # Errors
     ///
     /// Returns [`BackendError::Rejected`] on vendor failure.
-    pub fn run_into(&self, input: &Tensor, output: &mut Tensor) -> Result<(), BackendError> {
+    pub fn run_into(
+        &self,
+        input: TensorRef<'_>,
+        mut output: TensorMut<'_>,
+    ) -> Result<(), BackendError> {
         let dims = input.dims();
         let (n, h, w) = (dims[0] as u32, dims[2] as u32, dims[3] as u32);
         match vnnl_conv_execute(
@@ -197,7 +201,11 @@ impl VclConv {
     ///
     /// Returns [`BackendError::Rejected`] if the input shape differs from the
     /// configured one or the vendor run fails.
-    pub fn run_into(&self, input: &Tensor, output: &mut Tensor) -> Result<(), BackendError> {
+    pub fn run_into(
+        &self,
+        input: TensorRef<'_>,
+        mut output: TensorMut<'_>,
+    ) -> Result<(), BackendError> {
         if input.dims() != self.configured_input {
             return Err(BackendError::Rejected(format!(
                 "vcl configured for {:?}, got {:?}",
@@ -245,7 +253,7 @@ mod tests {
         let want = reference(params, &input, &weight);
         let conv = VnnlConv::new(params, &weight).unwrap();
         let mut got = Tensor::zeros(&conv.output_dims(input.dims()));
-        conv.run_into(&input, &mut got).unwrap();
+        conv.run_into(input.view(), got.view_mut()).unwrap();
         let r = allclose(&got, &want, 1e-4, 1e-5);
         assert!(r.ok, "vnnl mismatch: {r:?}");
     }
@@ -261,7 +269,7 @@ mod tests {
         let want = reference(params, &input, &weight);
         let conv = VnnlConv::new(params, &weight).unwrap();
         let mut got = Tensor::zeros(&conv.output_dims(input.dims()));
-        conv.run_into(&input, &mut got).unwrap();
+        conv.run_into(input.view(), got.view_mut()).unwrap();
         assert!(allclose(&got, &want, 1e-4, 1e-5).ok);
     }
 
@@ -285,7 +293,7 @@ mod tests {
         let want = reference(params, &input, &weight);
         let conv = VclConv::new(params, &weight, dims).unwrap();
         let mut got = Tensor::zeros(want.dims());
-        conv.run_into(&input, &mut got).unwrap();
+        conv.run_into(input.view(), got.view_mut()).unwrap();
         let r = allclose(&got, &want, 1e-4, 1e-5);
         assert!(r.ok, "vcl mismatch: {r:?}");
     }
@@ -297,7 +305,7 @@ mod tests {
         let conv = VclConv::new(params, &weight, [1, 1, 4, 4]).unwrap();
         let wrong = Tensor::zeros(&[1, 1, 5, 5]);
         let mut out = Tensor::zeros(&[1, 1, 5, 5]);
-        assert!(conv.run_into(&wrong, &mut out).is_err());
+        assert!(conv.run_into(wrong.view(), out.view_mut()).is_err());
     }
 
     #[test]

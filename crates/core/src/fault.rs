@@ -18,7 +18,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use orpheus_tensor::Tensor;
+use orpheus_tensor::{TensorMut, TensorRef};
 use orpheus_threads::ThreadPool;
 
 use crate::error::EngineError;
@@ -73,6 +73,8 @@ pub(crate) struct FaultyLayer {
     calls: AtomicU64,
     /// Name-derived salt so `Flaky` streams differ per layer.
     salt: u64,
+    /// `faulty(<inner implementation>)`, built once.
+    implementation: String,
 }
 
 impl FaultyLayer {
@@ -81,6 +83,7 @@ impl FaultyLayer {
             (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
         });
         FaultyLayer {
+            implementation: format!("faulty({})", inner.implementation()),
             inner,
             mode,
             calls: AtomicU64::new(0),
@@ -143,13 +146,13 @@ impl Layer for FaultyLayer {
     fn op_name(&self) -> &str {
         self.inner.op_name()
     }
-    fn implementation(&self) -> String {
-        format!("faulty({})", self.inner.implementation())
+    fn implementation(&self) -> &str {
+        &self.implementation
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        output: TensorMut<'_>,
         pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         self.gate()?;
@@ -169,6 +172,7 @@ mod tests {
     use crate::layer::run_layer;
     use crate::layers::native::ActivationLayer;
     use orpheus_ops::activation::Activation;
+    use orpheus_tensor::Tensor;
 
     fn relu() -> Box<dyn Layer> {
         Box::new(ActivationLayer::new("a", Activation::Relu))

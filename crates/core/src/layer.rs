@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use orpheus_tensor::Tensor;
+use orpheus_tensor::{TensorMut, TensorRef};
 use orpheus_threads::ThreadPool;
 
 use crate::error::EngineError;
@@ -23,16 +23,23 @@ pub trait Layer: fmt::Debug + Send + Sync {
     fn op_name(&self) -> &str;
 
     /// Human-readable description of the selected implementation,
-    /// e.g. `"im2col-gemm(packed)"` or `"vendor:vnnl"`.
-    fn implementation(&self) -> String;
+    /// e.g. `"im2col-gemm(packed)"` or `"vendor:vnnl"`. Fixed for the
+    /// layer's life, so it is built once, when the layer is.
+    fn implementation(&self) -> &str;
 
-    /// Executes the layer into a preallocated output tensor of the planned
-    /// output dims — the trait's one execution method, so every layer
-    /// writes into the session's recycled arena buffers and none can
-    /// allocate its result behind the executor's back.
+    /// Executes the layer into `output`, a view of the planned output dims
+    /// — the trait's one execution method, so every layer writes into a
+    /// slice of the session's arena and none can allocate its result behind
+    /// the executor's back.
     ///
-    /// `inputs` are the activation tensors in graph-input order (weights are
-    /// layer state, not inputs).
+    /// `inputs` are views of the activations in graph-input order (weights
+    /// are layer state, not inputs).
+    ///
+    /// Write-once: the layer writes every element of `output` and reads
+    /// none of it first. The arena is not cleared between steps, so
+    /// `output` holds whatever an earlier step left there; a debug-built
+    /// session fills it with NaN before every step to catch a layer that
+    /// breaks this contract.
     ///
     /// # Errors
     ///
@@ -40,8 +47,8 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// `output` does not have the layer's output dims.
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        output: TensorMut<'_>,
         pool: &ThreadPool,
     ) -> Result<(), EngineError>;
 
@@ -66,8 +73,8 @@ pub trait Layer: fmt::Debug + Send + Sync {
 /// the same element count — the view layers' copying execution path.
 pub(crate) fn copy_data_into(
     layer: &str,
-    input: &Tensor,
-    output: &mut Tensor,
+    input: TensorRef<'_>,
+    mut output: TensorMut<'_>,
 ) -> Result<(), EngineError> {
     if input.len() != output.len() {
         return Err(EngineError::Execution(format!(
@@ -81,11 +88,11 @@ pub(crate) fn copy_data_into(
 }
 
 /// Checks the arity of a layer's inputs — shared helper for implementations.
-pub(crate) fn expect_inputs<'a>(
+pub(crate) fn expect_inputs<'a, 'v>(
     layer: &str,
-    inputs: &'a [&'a Tensor],
+    inputs: &'a [TensorRef<'v>],
     expected: usize,
-) -> Result<&'a [&'a Tensor], EngineError> {
+) -> Result<&'a [TensorRef<'v>], EngineError> {
     if inputs.len() != expected {
         return Err(EngineError::Execution(format!(
             "layer {layer:?} expects {expected} inputs, got {}",
@@ -99,17 +106,19 @@ pub(crate) fn expect_inputs<'a>(
 #[cfg(test)]
 pub(crate) fn run_layer(
     layer: &dyn Layer,
-    inputs: &[&Tensor],
+    inputs: &[&orpheus_tensor::Tensor],
     out_dims: &[usize],
-) -> Result<Tensor, EngineError> {
-    let mut out = Tensor::zeros(out_dims);
-    layer.run_into(inputs, &mut out, &ThreadPool::single())?;
+) -> Result<orpheus_tensor::Tensor, EngineError> {
+    let views: Vec<TensorRef<'_>> = inputs.iter().map(|t| t.view()).collect();
+    let mut out = orpheus_tensor::Tensor::zeros(out_dims);
+    layer.run_into(&views, out.view_mut(), &ThreadPool::single())?;
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orpheus_tensor::Tensor;
 
     #[derive(Debug)]
     struct Doubler;
@@ -120,18 +129,20 @@ mod tests {
         fn op_name(&self) -> &str {
             "Scale"
         }
-        fn implementation(&self) -> String {
-            "map".into()
+        fn implementation(&self) -> &str {
+            "map"
         }
         fn run_into(
             &self,
-            inputs: &[&Tensor],
-            output: &mut Tensor,
+            inputs: &[TensorRef<'_>],
+            mut output: TensorMut<'_>,
             _pool: &ThreadPool,
         ) -> Result<(), EngineError> {
             let inputs = expect_inputs(self.name(), inputs, 1)?;
-            copy_data_into(self.name(), inputs[0], output)?;
-            output.map_inplace(|x| x * 2.0);
+            copy_data_into(self.name(), inputs[0], output.reborrow())?;
+            for x in output.as_mut_slice() {
+                *x *= 2.0;
+            }
             Ok(())
         }
     }

@@ -11,7 +11,7 @@ use orpheus_ops::pad::pad_constant_into;
 use orpheus_ops::pool::{global_average_pool_into, pool2d_into, Pool2dParams};
 use orpheus_ops::reduce::reduce_mean_into;
 use orpheus_ops::softmax::softmax_into;
-use orpheus_tensor::Tensor;
+use orpheus_tensor::{Tensor, TensorMut, TensorRef};
 use orpheus_threads::ThreadPool;
 
 use crate::error::EngineError;
@@ -23,6 +23,8 @@ use crate::layer::{copy_data_into, expect_inputs, Layer};
 pub struct ConvLayer {
     name: String,
     conv: Conv2d,
+    /// The algorithm's name, built once for [`Layer::implementation`].
+    implementation: String,
     /// FLOPs computed at lowering time from the known input shape.
     flops: u64,
 }
@@ -50,11 +52,16 @@ impl ConvLayer {
         if let Some(act) = activation {
             conv = conv.with_activation(act);
         }
-        Ok(ConvLayer {
-            name: name.to_string(),
+        Ok(ConvLayer::wrap(name.to_string(), conv, flops))
+    }
+
+    fn wrap(name: String, conv: Conv2d, flops: u64) -> Self {
+        ConvLayer {
+            implementation: conv.algorithm().to_string(),
+            name,
             conv,
             flops,
-        })
+        }
     }
 
     /// The wrapped convolution's parameters.
@@ -75,13 +82,13 @@ impl Layer for ConvLayer {
     fn op_name(&self) -> &str {
         "Conv"
     }
-    fn implementation(&self) -> String {
-        self.conv.algorithm().to_string()
+    fn implementation(&self) -> &str {
+        &self.implementation
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        output: TensorMut<'_>,
         pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, 1)?;
@@ -107,11 +114,11 @@ impl Layer for ConvLayer {
         if let Some(act) = self.conv.activation() {
             conv = conv.with_activation(act);
         }
-        Some(Box::new(ConvLayer {
-            name: self.name.clone(),
+        Some(Box::new(ConvLayer::wrap(
+            self.name.clone(),
             conv,
-            flops: self.flops,
-        }))
+            self.flops,
+        )))
     }
 }
 
@@ -156,13 +163,13 @@ impl Layer for DenseLayer {
     fn op_name(&self) -> &str {
         "Dense"
     }
-    fn implementation(&self) -> String {
-        "gemm".into()
+    fn implementation(&self) -> &str {
+        "gemm"
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        output: TensorMut<'_>,
         pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, 1)?;
@@ -178,6 +185,7 @@ impl Layer for DenseLayer {
 pub struct PoolLayer {
     name: String,
     params: Pool2dParams,
+    implementation: String,
 }
 
 impl PoolLayer {
@@ -186,6 +194,7 @@ impl PoolLayer {
         PoolLayer {
             name: name.to_string(),
             params,
+            implementation: format!("{:?}", params.mode).to_lowercase(),
         }
     }
 }
@@ -197,13 +206,13 @@ impl Layer for PoolLayer {
     fn op_name(&self) -> &str {
         "Pool"
     }
-    fn implementation(&self) -> String {
-        format!("{:?}", self.params.mode).to_lowercase()
+    fn implementation(&self) -> &str {
+        &self.implementation
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        output: TensorMut<'_>,
         pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, 1)?;
@@ -233,13 +242,13 @@ impl Layer for GlobalPoolLayer {
     fn op_name(&self) -> &str {
         "GlobalAveragePool"
     }
-    fn implementation(&self) -> String {
-        "direct".into()
+    fn implementation(&self) -> &str {
+        "direct"
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        output: TensorMut<'_>,
         pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, 1)?;
@@ -282,13 +291,13 @@ impl Layer for BatchNormLayer {
     fn op_name(&self) -> &str {
         "BatchNorm"
     }
-    fn implementation(&self) -> String {
-        "affine".into()
+    fn implementation(&self) -> &str {
+        "affine"
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        output: TensorMut<'_>,
         _pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, 1)?;
@@ -301,6 +310,7 @@ impl Layer for BatchNormLayer {
 pub struct ActivationLayer {
     name: String,
     activation: Activation,
+    implementation: String,
 }
 
 impl ActivationLayer {
@@ -309,6 +319,7 @@ impl ActivationLayer {
         ActivationLayer {
             name: name.to_string(),
             activation,
+            implementation: format!("{activation:?}").to_lowercase(),
         }
     }
 }
@@ -320,17 +331,17 @@ impl Layer for ActivationLayer {
     fn op_name(&self) -> &str {
         "Activation"
     }
-    fn implementation(&self) -> String {
-        format!("{:?}", self.activation).to_lowercase()
+    fn implementation(&self) -> &str {
+        &self.implementation
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        mut output: TensorMut<'_>,
         _pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, 1)?;
-        copy_data_into(&self.name, inputs[0], output)?;
+        copy_data_into(&self.name, inputs[0], output.reborrow())?;
         self.activation.apply_slice(output.as_mut_slice());
         Ok(())
     }
@@ -341,6 +352,7 @@ impl Layer for ActivationLayer {
 pub struct AddLayer {
     name: String,
     activation: Option<Activation>,
+    implementation: String,
 }
 
 impl AddLayer {
@@ -349,6 +361,10 @@ impl AddLayer {
         AddLayer {
             name: name.to_string(),
             activation,
+            implementation: match activation {
+                Some(a) => format!("fused-{a:?}").to_lowercase(),
+                None => "elementwise".into(),
+            },
         }
     }
 }
@@ -360,16 +376,13 @@ impl Layer for AddLayer {
     fn op_name(&self) -> &str {
         "Add"
     }
-    fn implementation(&self) -> String {
-        match self.activation {
-            Some(a) => format!("fused-{:?}", a).to_lowercase(),
-            None => "elementwise".into(),
-        }
+    fn implementation(&self) -> &str {
+        &self.implementation
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        output: TensorMut<'_>,
         _pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, 2)?;
@@ -402,13 +415,13 @@ impl Layer for MulLayer {
     fn op_name(&self) -> &str {
         "Mul"
     }
-    fn implementation(&self) -> String {
-        "elementwise".into()
+    fn implementation(&self) -> &str {
+        "elementwise"
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        output: TensorMut<'_>,
         _pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, 2)?;
@@ -440,13 +453,13 @@ impl Layer for ConcatLayer {
     fn op_name(&self) -> &str {
         "Concat"
     }
-    fn implementation(&self) -> String {
-        "memcpy".into()
+    fn implementation(&self) -> &str {
+        "memcpy"
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        output: TensorMut<'_>,
         _pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, self.arity)?;
@@ -476,13 +489,13 @@ impl Layer for SoftmaxLayer {
     fn op_name(&self) -> &str {
         "Softmax"
     }
-    fn implementation(&self) -> String {
-        "stable".into()
+    fn implementation(&self) -> &str {
+        "stable"
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        output: TensorMut<'_>,
         _pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, 1)?;
@@ -512,13 +525,13 @@ impl Layer for FlattenLayer {
     fn op_name(&self) -> &str {
         "Flatten"
     }
-    fn implementation(&self) -> String {
-        "view".into()
+    fn implementation(&self) -> &str {
+        "view"
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        output: TensorMut<'_>,
         _pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         // `output` already carries the planned (flattened) dims; views copy
@@ -551,13 +564,13 @@ impl Layer for ReshapeLayer {
     fn op_name(&self) -> &str {
         "Reshape"
     }
-    fn implementation(&self) -> String {
-        "view".into()
+    fn implementation(&self) -> &str {
+        "view"
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        output: TensorMut<'_>,
         _pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, 1)?;
@@ -593,13 +606,13 @@ impl Layer for PadLayer {
     fn op_name(&self) -> &str {
         "Pad"
     }
-    fn implementation(&self) -> String {
-        "constant".into()
+    fn implementation(&self) -> &str {
+        "constant"
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        output: TensorMut<'_>,
         _pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, 1)?;
@@ -645,13 +658,13 @@ impl Layer for ReduceMeanLayer {
     fn op_name(&self) -> &str {
         "ReduceMean"
     }
-    fn implementation(&self) -> String {
-        "scatter".into()
+    fn implementation(&self) -> &str {
+        "scatter"
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        output: TensorMut<'_>,
         _pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, 1)?;
@@ -686,13 +699,13 @@ impl Layer for IdentityLayer {
     fn op_name(&self) -> &str {
         "Identity"
     }
-    fn implementation(&self) -> String {
-        "copy".into()
+    fn implementation(&self) -> &str {
+        "copy"
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        output: TensorMut<'_>,
         _pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, 1)?;

@@ -9,7 +9,7 @@
 use orpheus_backends::{BackendError, VclConv, VnnlConv};
 use orpheus_ops::activation::Activation;
 use orpheus_ops::conv::Conv2dParams;
-use orpheus_tensor::Tensor;
+use orpheus_tensor::{Tensor, TensorMut, TensorRef};
 use orpheus_threads::ThreadPool;
 
 use crate::error::EngineError;
@@ -30,7 +30,7 @@ struct Epilogue {
 }
 
 impl Epilogue {
-    fn apply(&self, output: &mut Tensor) {
+    fn apply(&self, mut output: TensorMut<'_>) {
         let dims = output.dims();
         let (n, co, plane) = (dims[0], dims[1], dims[2] * dims[3]);
         let data = output.as_mut_slice();
@@ -91,13 +91,13 @@ impl Layer for VnnlConvLayer {
     fn op_name(&self) -> &str {
         "Conv"
     }
-    fn implementation(&self) -> String {
-        "vendor:vnnl".into()
+    fn implementation(&self) -> &str {
+        "vendor:vnnl"
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        mut output: TensorMut<'_>,
         _pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, 1)?;
@@ -110,7 +110,7 @@ impl Layer for VnnlConvLayer {
                 output.dims()
             )));
         }
-        self.conv.run_into(inputs[0], output)?;
+        self.conv.run_into(inputs[0], output.reborrow())?;
         self.epilogue.apply(output);
         Ok(())
     }
@@ -168,13 +168,13 @@ impl Layer for VclConvLayer {
     fn op_name(&self) -> &str {
         "Conv"
     }
-    fn implementation(&self) -> String {
-        "vendor:vcl".into()
+    fn implementation(&self) -> &str {
+        "vendor:vcl"
     }
     fn run_into(
         &self,
-        inputs: &[&Tensor],
-        output: &mut Tensor,
+        inputs: &[TensorRef<'_>],
+        mut output: TensorMut<'_>,
         _pool: &ThreadPool,
     ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, 1)?;
@@ -186,7 +186,7 @@ impl Layer for VclConvLayer {
                 output.dims()
             )));
         }
-        self.conv.run_into(inputs[0], output)?;
+        self.conv.run_into(inputs[0], output.reborrow())?;
         self.epilogue.apply(output);
         Ok(())
     }

@@ -7,11 +7,12 @@
 //! the shared interval planner in `orpheus-verify` — the same algorithm the
 //! linter uses for its static prediction — so disjoint lifetimes share one
 //! recycled buffer and pure view steps (Flatten/Reshape/Identity) alias
-//! their input's storage outright, executing as moves instead of copies.
+//! their input's storage outright, so they do no work at all.
 //!
 //! The plan is computed once at `Engine::load`; every
-//! [`Session`](crate::Session) then preallocates the planned buffers and
-//! runs steady-state inference without touching the heap.
+//! [`Session`](crate::Session) then lays the planned buffers out back to
+//! back in one arena per bucket and runs steady-state inference without
+//! touching the heap.
 //!
 //! `plan_memory_no_reuse` is the degenerate twin — one buffer per slot, no
 //! view-moves — that turns the same executor into the oracle arena reuse is
@@ -32,13 +33,14 @@ pub struct MemoryPlan {
     pub(crate) buffer_of: Vec<usize>,
     /// Planned element capacity of each arena buffer.
     pub(crate) buffer_elems: Vec<usize>,
-    /// For each step, whether the executor moves the (dying) input buffer
-    /// into the output slot instead of running the layer.
+    /// For each step, whether its output shares the (dying) input's buffer,
+    /// so the executor skips the layer: the value already is in place.
     pub(crate) view_move: Vec<bool>,
-    /// For each step, the slots reclaimed (buffer returned to the arena)
-    /// once the step completes.
+    /// For each step, the slots whose buffer is free for reuse once the
+    /// step completes. The executor needs nothing from it at run time; the
+    /// plan verifier proves buffer reuse sound from it.
     pub(crate) reclaim_at: Vec<Vec<usize>>,
-    /// Number of view steps that execute as moves.
+    /// Number of view steps that execute as no-ops.
     aliased_views: usize,
     /// Sum of all slot value sizes — what a no-reuse executor would hold.
     total_slot_bytes: usize,
@@ -55,7 +57,8 @@ impl MemoryPlan {
         self.buffer_elems.len()
     }
 
-    /// Number of view steps the executor runs as zero-copy moves.
+    /// Number of view steps the executor skips, their output planned into
+    /// their input's buffer.
     pub fn aliased_views(&self) -> usize {
         self.aliased_views
     }
@@ -286,7 +289,7 @@ pub(crate) fn plan_spec(model: &str, plan: &Plan) -> PlanSpec {
 mod tests {
     use super::*;
     use crate::layer::Layer;
-    use orpheus_tensor::Tensor;
+    use orpheus_tensor::{TensorMut, TensorRef};
     use orpheus_threads::ThreadPool;
 
     #[derive(Debug)]
@@ -298,13 +301,13 @@ mod tests {
         fn op_name(&self) -> &str {
             "Nop"
         }
-        fn implementation(&self) -> String {
-            "nop".into()
+        fn implementation(&self) -> &str {
+            "nop"
         }
         fn run_into(
             &self,
-            inputs: &[&Tensor],
-            output: &mut Tensor,
+            inputs: &[TensorRef<'_>],
+            output: TensorMut<'_>,
             _pool: &ThreadPool,
         ) -> Result<(), crate::EngineError> {
             crate::layer::copy_data_into(self.0, inputs[0], output)

@@ -92,7 +92,8 @@ pub(crate) fn candidates(params: &Conv2dParams) -> Vec<ConvAlgorithm> {
 }
 
 /// Times each candidate's `run_into` on a synthetic input of the layer's
-/// real shape; the output is allocated once, outside the clock.
+/// real shape; the output is allocated once, outside the clock. A lone
+/// candidate (every dense convolution) wins untimed and unbuilt.
 fn auto_tune(
     params: &Conv2dParams,
     h: usize,
@@ -100,11 +101,15 @@ fn auto_tune(
     pool: &ThreadPool,
     trials: usize,
 ) -> ConvAlgorithm {
+    let candidates = candidates(params);
+    if let [only] = candidates[..] {
+        return only;
+    }
     let input = Tensor::full(&[1, params.in_channels, h, w], 0.5);
     let wd = params.weight_dims();
     let weight = Tensor::full(&wd, 0.01);
     let mut best: Option<(ConvAlgorithm, f64)> = None;
-    for algo in candidates(params) {
+    for algo in candidates {
         let mut candidate_span = if orpheus_observe::enabled() {
             let mut s = orpheus_observe::span(format!("autotune:{algo}"), "selection");
             s.attr("trials", trials);

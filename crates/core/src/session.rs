@@ -1,28 +1,35 @@
 //! Reusable inference sessions over the static memory plan.
 //!
-//! A [`Session`] owns every buffer an inference needs — the planned
-//! activation arena, the per-slot shape cache, and a handle to the engine's
-//! thread pool — so repeated `run` calls recycle the same storage instead of
-//! allocating. After the first call warms the arena (and the thread-local
-//! kernel scratch pool), steady-state single-thread inference performs zero
-//! activation heap allocations: tensors are assembled from recycled `Vec`s
-//! via [`Tensor::from_parts`] and dismantled back into the arena with
-//! [`Tensor::into_parts`] when liveness says their value is dead.
+//! A [`Session`] owns every buffer an inference needs: one activation arena
+//! per batch bucket, the output it hands back, and a handle to the engine's
+//! thread pool. Each arena is one `Vec<f32>` holding the plan's buffers back
+//! to back, at offsets that are prefix sums of the planned buffer sizes.
+//! Each step runs its layer over views: its output as a writable slice of
+//! the arena, its inputs as shared slices of the rest (`split_at_mut`). The
+//! plan, proven sound at load, never gives a step's output the buffer of a
+//! value it reads, and a view-move step's output already is its input's
+//! buffer, so it does no work. Nothing is moved, zeroed or handed back at
+//! run time, and steady-state single-thread runs allocate nothing.
+//!
+//! Layers write their whole output and read none of it first (see
+//! [`Layer::run_into`]), so an arena is zeroed once, when it is allocated.
+//! Debug builds fill every step's output with NaN before its layer runs, so
+//! a layer that leaves part of its output unwritten shows up as NaN in every
+//! debug-built test that runs a session.
 //!
 //! [`Network::run`](crate::Network::run) is a thin wrapper that creates a
 //! throwaway session; batch workloads should hold one session (or use
 //! [`Network::run_batch`](crate::Network::run_batch)) to amortise the arena.
-//!
-//! Every run also stamps the wall time of each plan step into a vector the
-//! session preallocates; [`Session::profile`] turns that record into
-//! per-layer rows when it is read, so timing a layer costs a run one clock
-//! read per step and no allocation.
+//! Every run stamps each plan step's wall time into a preallocated vector;
+//! [`Session::profile`] turns that record into per-layer rows when read.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use orpheus_observe as observe;
-use orpheus_tensor::{Shape, Tensor};
+use orpheus_ops::OpError;
+use orpheus_tensor::{Tensor, TensorMut, TensorRef};
 use orpheus_threads::ThreadPool;
 
 use crate::error::EngineError;
@@ -32,36 +39,47 @@ use crate::memory::MemoryStats;
 use crate::plan::{elems, MemoryPlan};
 use crate::profile::{LayerTiming, Profile};
 
-/// Steps with at most this many inputs borrow their input refs from a stack
-/// array; wider fan-in (absent from the model zoo) falls back to a `Vec`.
-const MAX_FAN_IN: usize = 16;
-
-/// Per-batch-bucket session storage: the arena, shape cache, and slot sizes
-/// for one rung of the plan's batch ladder.
+/// One batch bucket's activation arena.
 #[derive(Debug)]
-struct BucketState {
-    /// Free storage per planned buffer; empty `Vec` while lent to a slot.
-    arena: Vec<Vec<f32>>,
-    /// Per-slot `Shape` cache, round-tripped through
-    /// `Tensor::from_parts`/`into_parts` so shapes are built exactly once.
-    shapes: Vec<Option<Shape>>,
-    /// Element count of each slot's value at this bucket's batch.
-    slot_elems: Vec<usize>,
+struct Arena {
+    /// The bucket's planned buffers back to back; empty until the bucket
+    /// first runs, except for the base bucket.
+    data: Vec<f32>,
+    /// Where each slot's value lives in `data`: its buffer's offset (a
+    /// prefix sum of the plan's buffer sizes) up to the value's element
+    /// count at this bucket's batch.
+    slots: Vec<Range<usize>>,
 }
 
-impl BucketState {
-    /// Takes the planned buffer for `slot` out of the arena, zeroed to the
-    /// slot's element count, together with its cached shape (`dims`).
-    fn materialize(&mut self, slot: usize, buffer: usize, dims: &[usize]) -> (Shape, Vec<f32>) {
-        let mut data = std::mem::take(&mut self.arena[buffer]);
-        data.clear();
-        data.resize(self.slot_elems[slot], 0.0);
-        let shape = self.shapes[slot]
-            .take()
-            // Only reachable when a prior failed run lost a shape to an
-            // error path; rebuilding allocates, steady state never does.
-            .unwrap_or_else(|| Shape::new(dims));
-        (shape, data)
+impl Arena {
+    fn new(mp: &MemoryPlan, slot_dims: &[Vec<usize>]) -> Arena {
+        let mut end = 0;
+        let offsets: Vec<usize> = mp
+            .buffer_elems
+            .iter()
+            .map(|&n| {
+                end += n;
+                end - n
+            })
+            .collect();
+        let slots = slot_dims
+            .iter()
+            .zip(&mp.buffer_of)
+            .map(|(dims, &buffer)| offsets[buffer]..offsets[buffer] + elems(dims))
+            .collect();
+        Arena {
+            data: Vec::new(),
+            slots,
+        }
+    }
+
+    /// Allocates the planned arena, zeroed, on first use: exactly the
+    /// planned size, so the resident bytes never exceed the plan. No-op
+    /// (and allocation-free) once provisioned.
+    fn provision(&mut self, mp: &MemoryPlan) {
+        if self.data.is_empty() {
+            self.data = vec![0.0; mp.buffer_elems.iter().sum()];
+        }
     }
 }
 
@@ -73,9 +91,13 @@ impl BucketState {
 ///
 /// When the network was loaded with `max_batch > 1`, one session serves
 /// every batch bucket: `run` picks the smallest bucket covering the input's
-/// leading dim, zero-pads the tail of a between-rung batch, and slices the
-/// padded rows back off the output. Each bucket keeps its own arena, so
+/// leading dim, zero-pads the tail of a between-rung batch, and copies only
+/// the real rows to the output. Each bucket keeps its own arena, so
 /// steady-state runs at any single bucket stay allocation-free.
+///
+/// A panic that unwinds through `run` (a serving worker isolating a
+/// poisoned request) leaves nothing to repair: the arena is never taken
+/// apart, so the next `run` simply overwrites it.
 ///
 /// [`Network`]: crate::Network
 #[derive(Debug)]
@@ -83,15 +105,17 @@ pub struct Session {
     plan: Arc<Plan>,
     pool: ThreadPool,
     model: String,
-    /// Current tensor per slot (`None` = value dead, storage in the arena).
-    slots: Vec<Option<Tensor>>,
-    /// One storage state per batch bucket (`plan.buckets` order).
-    states: Vec<BucketState>,
-    /// Index of the bucket the slots/arena currently belong to.
+    /// One arena per batch bucket (`plan.buckets` order).
+    arenas: Vec<Arena>,
+    /// Index of the bucket the last run used.
     active: usize,
-    /// Output scratch for padded (between-rung) runs; holds the sliced
-    /// tensor so `run` can hand out a reference, recycled run to run.
-    padded_output: Option<Tensor>,
+    /// The last run's output rows, copied out of the arena; recycled run to
+    /// run.
+    output: Tensor,
+    /// Storage for the input views handed to each step, sized to the
+    /// widest fan-in in the plan and recycled step to step (see
+    /// [`recycle`]); always empty between steps.
+    fan_in: Vec<TensorRef<'static>>,
     /// Per-step reference implementations; populated only for sessions
     /// created via [`Network::reference_session`](crate::Network::reference_session),
     /// where a `Some` entry replaces the step's selected layer. Empty for
@@ -102,8 +126,6 @@ pub struct Session {
     step_ns: Vec<u64>,
     /// Wall time of the last run, in nanoseconds.
     run_ns: u64,
-    /// Placeholder for the input-ref stack array.
-    empty: Tensor,
 }
 
 impl Session {
@@ -113,33 +135,15 @@ impl Session {
         model: String,
         prefer_reference: bool,
     ) -> Session {
-        let states: Vec<BucketState> = plan
+        let mut arenas: Vec<Arena> = plan
             .buckets
             .iter()
-            .enumerate()
-            .map(|(idx, bucket)| {
-                let (dims, mp) = (&bucket.slot_dims, &bucket.memory);
-                // The base bucket preallocates its planned capacity; larger
-                // buckets start empty and grow to plan on first use, so an
-                // 8-bucket session does not hold eight resident arenas for
-                // traffic that may never batch.
-                let arena: Vec<Vec<f32>> = if idx == 0 {
-                    mp.buffer_elems
-                        .iter()
-                        .map(|&elems| Vec::with_capacity(elems))
-                        .collect()
-                } else {
-                    mp.buffer_elems.iter().map(|_| Vec::new()).collect()
-                };
-                let shapes: Vec<Option<Shape>> = dims.iter().map(|d| Some(Shape::new(d))).collect();
-                let slot_elems: Vec<usize> = dims.iter().map(|d| elems(d)).collect();
-                BucketState {
-                    arena,
-                    shapes,
-                    slot_elems,
-                }
-            })
+            .map(|bucket| Arena::new(&bucket.memory, &bucket.slot_dims))
             .collect();
+        // The base bucket is provisioned up front; larger buckets grow to
+        // plan on first use, so an 8-bucket session does not hold eight
+        // resident arenas for traffic that may never batch.
+        arenas[0].provision(&plan.buckets[0].memory);
         if observe::enabled() {
             let mp = &plan.buckets[0].memory;
             observe::gauge_set("session.arena.bytes", mp.arena_bytes() as f64);
@@ -154,15 +158,15 @@ impl Session {
         } else {
             Vec::new()
         };
+        let max_fan_in = plan.steps.iter().map(|s| s.inputs.len()).max();
         Session {
-            slots: (0..plan.num_slots).map(|_| None).collect(),
-            states,
+            arenas,
             active: 0,
-            padded_output: None,
+            output: Tensor::default(),
+            fan_in: Vec::with_capacity(max_fan_in.unwrap_or_default()),
             reference,
             step_ns: vec![0; plan.steps.len()],
             run_ns: 0,
-            empty: Tensor::zeros(&[0]),
             plan,
             pool,
             model,
@@ -207,18 +211,11 @@ impl Session {
 
     /// The arena capacity actually resident in the active bucket, in bytes.
     ///
-    /// Returns every live value (including the last output) to the arena
-    /// first, so the sum covers all planned buffers. Tests use this to pin
-    /// the runtime footprint to the static [`MemoryPlan`] prediction,
-    /// bucket by bucket (run a batch first to make its bucket active).
-    pub fn measured_arena_bytes(&mut self) -> usize {
-        self.reset();
-        self.states[self.active]
-            .arena
-            .iter()
-            .map(Vec::capacity)
-            .sum::<usize>()
-            * std::mem::size_of::<f32>()
+    /// Tests use this to pin the runtime footprint to the static
+    /// [`MemoryPlan`] prediction, bucket by bucket (run a batch first to
+    /// make its bucket active).
+    pub fn measured_arena_bytes(&self) -> usize {
+        self.arenas[self.active].data.capacity() * std::mem::size_of::<f32>()
     }
 
     fn memory_plan(&self) -> &MemoryPlan {
@@ -250,7 +247,7 @@ impl Session {
                 LayerTiming {
                     name: layer.name().to_string(),
                     op: layer.op_name().to_string(),
-                    implementation: layer.implementation(),
+                    implementation: layer.implementation().to_string(),
                     duration: Duration::from_nanos(self.step_ns[idx]),
                     flops: layer.flops() * images,
                 }
@@ -260,56 +257,6 @@ impl Session {
             timings,
             total: Duration::from_nanos(self.run_ns),
             memory: MemoryStats::from_plan(self.memory_plan()),
-        }
-    }
-
-    /// Re-arms the session after a fault without replanning: every live
-    /// slot's storage returns to the active bucket's arena and its shape to
-    /// the cache.
-    ///
-    /// `run` calls this on entry, so ordinary error recovery is automatic.
-    /// Call it explicitly after catching a panic that unwound through `run`
-    /// (e.g. a serving worker isolating a poisoned request): a panic can
-    /// strand slots mid-step and drop an in-flight buffer, and `reset`
-    /// restores the session's invariants so the next `run` proceeds —
-    /// re-growing at most the one lost buffer, never recomputing the plan.
-    pub fn reset(&mut self) {
-        let plan = Arc::clone(&self.plan);
-        let mp = &plan.buckets[self.active].memory;
-        let state = &mut self.states[self.active];
-        for slot in 0..plan.num_slots {
-            if let Some(t) = self.slots[slot].take() {
-                let (shape, data) = t.into_parts();
-                state.shapes[slot] = Some(shape);
-                state.arena[mp.buffer_of[slot]] = data;
-            }
-        }
-    }
-
-    /// Makes bucket `idx` the active one, returning any live storage to the
-    /// previously active bucket's arena first. No-op when already active.
-    fn switch_bucket(&mut self, idx: usize) {
-        if idx != self.active {
-            self.reset();
-            self.active = idx;
-            self.provision_active_arena();
-        }
-    }
-
-    /// Grows the active bucket's arena buffers to their planned capacities.
-    ///
-    /// Lazily-created buckets start with empty buffers; letting `resize`
-    /// grow them would over-allocate (amortized doubling) whenever a shared
-    /// buffer serves a small slot before a large one. `reserve_exact` pins
-    /// resident capacity to the static plan, keeping `measured <= planned`
-    /// in every bucket. No-op (and allocation-free) once provisioned.
-    fn provision_active_arena(&mut self) {
-        let mp = &self.plan.buckets[self.active].memory;
-        let state = &mut self.states[self.active];
-        for (data, &elems) in state.arena.iter_mut().zip(&mp.buffer_elems) {
-            if data.capacity() < elems {
-                data.reserve_exact(elems - data.len());
-            }
         }
     }
 
@@ -333,14 +280,7 @@ impl Session {
                 return Ok((idx, batch));
             }
         }
-        Err(self.dims_error(dims))
-    }
-
-    /// The actionable dims-mismatch error, shared with every other run
-    /// surface (see [`Plan::dims_error`]): lists every accepted input shape
-    /// and the planned batch buckets, not just the base shape.
-    fn dims_error(&self, dims: &[usize]) -> EngineError {
-        self.plan.dims_error(dims)
+        Err(self.plan.dims_error(dims))
     }
 
     /// Runs one inference, returning a reference to the output tensor.
@@ -348,10 +288,10 @@ impl Session {
     /// The input's leading (batch) dim may be any value from 1 up to
     /// [`Session::max_batch`]: the session activates the smallest covering
     /// batch bucket, zero-pads the tail when the batch falls between
-    /// buckets, and slices the padded rows back off the output.
+    /// buckets, and returns only the real rows.
     ///
-    /// The output stays valid (and its buffer stays out of the arena) until
-    /// the next `run` on this session; clone it to keep it longer.
+    /// The output is the session's own copy, valid until the next `run` on
+    /// this session; clone it to keep it longer.
     ///
     /// # Errors
     ///
@@ -359,27 +299,21 @@ impl Session {
     /// bucket of the loaded model (the message lists every accepted shape),
     /// or if a layer fails and has no reference fallback.
     pub fn run(&mut self, input: &Tensor) -> Result<&Tensor, EngineError> {
-        let (bucket, batch) = match self.select_bucket(input.dims()) {
-            Ok(sel) => sel,
-            Err(e) => {
-                observe::flight_record("session", "run.error", format!("{}: {e}", self.model));
-                return Err(e);
-            }
-        };
-        self.switch_bucket(bucket);
-        if let Err(e) = self.run_inner(input) {
+        let result = self
+            .select_bucket(input.dims())
+            .and_then(|(bucket, batch)| {
+                self.active = bucket;
+                self.arenas[bucket].provision(&self.plan.buckets[bucket].memory);
+                self.run_inner(input)?;
+                self.copy_output(batch)
+            });
+        if let Err(e) = result {
             // Error paths are cold: stamp the flight recorder so a post-hoc
             // dump explains what the session was doing when it failed.
             observe::flight_record("session", "run.error", format!("{}: {e}", self.model));
             return Err(e);
         }
-        let bucket_batch = self.plan.buckets[bucket].batch;
-        if batch == bucket_batch {
-            return self.slots[self.plan.output_slot]
-                .as_ref()
-                .ok_or_else(|| EngineError::Execution("output slot empty after run".into()));
-        }
-        self.slice_padded_output(batch, bucket_batch)
+        Ok(&self.output)
     }
 
     /// Runs one inference, copying the output into a caller-owned buffer and
@@ -406,42 +340,26 @@ impl Session {
         Ok(dims)
     }
 
-    /// Slices the first `batch` of `bucket_batch` served rows off the
-    /// (padded) output into the session's scratch output tensor.
-    fn slice_padded_output(
-        &mut self,
-        batch: usize,
-        bucket_batch: usize,
-    ) -> Result<&Tensor, EngineError> {
-        // Recycle the previous padded output's storage before borrowing the
-        // output slot.
-        let mut data = match self.padded_output.take() {
-            Some(t) => t.into_parts().1,
-            None => Vec::new(),
-        };
-        let full = self.slots[self.plan.output_slot]
-            .as_ref()
-            .ok_or_else(|| EngineError::Execution("output slot empty after run".into()))?;
-        let lead = full.dims().first().copied().unwrap_or(1);
-        if !(lead * batch).is_multiple_of(bucket_batch) {
+    /// Copies the first `batch` of the active bucket's rows from the output
+    /// slot into the session's output tensor: every row of an exact batch,
+    /// the real rows of a padded one.
+    fn copy_output(&mut self, batch: usize) -> Result<(), EngineError> {
+        let bucket = &self.plan.buckets[self.active];
+        let dims = &bucket.slot_dims[self.plan.output_slot];
+        let lead = dims.first().copied().unwrap_or(1);
+        if !(lead * batch).is_multiple_of(bucket.batch) {
             return Err(EngineError::Execution(format!(
-                "cannot slice batch {batch} rows from output dims {:?} served \
-                 at bucket batch {bucket_batch}",
-                full.dims()
+                "cannot slice batch {batch} rows from output dims {dims:?} served \
+                 at bucket batch {}",
+                bucket.batch
             )));
         }
-        let keep = full.len() / bucket_batch * batch;
-        let mut dims = full.dims().to_vec();
-        dims[0] = lead * batch / bucket_batch;
-        data.clear();
-        data.extend_from_slice(&full.as_slice()[..keep]);
-        let sliced =
-            Tensor::from_vec(data, &dims).map_err(|e| EngineError::Execution(e.to_string()))?;
-        self.padded_output = Some(sliced);
-        Ok(self
-            .padded_output
-            .as_ref()
-            .expect("padded output was just stored"))
+        let arena = &self.arenas[self.active];
+        let full = &arena.data[arena.slots[self.plan.output_slot].clone()];
+        let full = TensorRef::new(full, dims).map_err(OpError::from)?;
+        self.output
+            .copy_rows_from(full, lead * batch / bucket.batch);
+        Ok(())
     }
 
     /// Renders the process-wide flight recorder's recent events — loads,
@@ -468,226 +386,197 @@ impl Session {
     /// the error names that input's index (`input #i: ...`). Outputs
     /// computed for earlier inputs are dropped with the abort.
     pub fn run_batch(&mut self, inputs: &[Tensor]) -> Result<Vec<Tensor>, EngineError> {
-        if inputs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let base_dims = self.plan.input_dims.clone();
-        let base_batch = base_dims.first().copied().unwrap_or(1);
-        let per_chunk = (self.plan.max_bucket_batch() / base_batch.max(1)).max(1);
+        let base_dims = &self.plan.input_dims;
+        let base_batch = base_dims.first().copied().unwrap_or(1).max(1);
         let homogeneous = inputs.iter().all(|t| t.dims() == base_dims.as_slice());
+        let per_chunk = match homogeneous {
+            true => (self.plan.max_bucket_batch() / base_batch).max(1),
+            false => 1,
+        };
         let mut outputs = Vec::with_capacity(inputs.len());
-        if !homogeneous || per_chunk == 1 {
-            for (index, input) in inputs.iter().enumerate() {
-                let out = self
-                    .run(input)
-                    .map_err(|e| indexed_input_error(index, &e))?
-                    .clone();
-                outputs.push(out);
+        for (c, chunk) in inputs.chunks(per_chunk).enumerate() {
+            let done = outputs.len();
+            if chunk.len() > 1 && self.run_stacked(chunk, &mut outputs).is_ok() {
+                continue;
             }
-            return Ok(outputs);
-        }
-        let out_dims = self.plan.buckets[0].slot_dims[self.plan.output_slot].clone();
-        let per_input: usize = base_dims.iter().product::<usize>().max(1);
-        let mut start = 0;
-        for chunk in inputs.chunks(per_chunk) {
-            if chunk.len() == 1 {
-                let out = self
-                    .run(&chunk[0])
-                    .map_err(|e| indexed_input_error(start, &e))?
-                    .clone();
-                outputs.push(out);
-            } else {
-                let mut data = Vec::with_capacity(chunk.len() * per_input);
-                for input in chunk {
-                    data.extend_from_slice(input.as_slice());
-                }
-                let mut dims = base_dims.clone();
-                dims[0] = base_batch * chunk.len();
-                let stacked = Tensor::from_vec(data, &dims)
-                    .map_err(|e| EngineError::Execution(e.to_string()))?;
-                match self.run(&stacked) {
-                    Ok(full) => {
-                        let per_output = full.len() / chunk.len();
-                        let served = full.as_slice();
-                        for j in 0..chunk.len() {
-                            let row = &served[j * per_output..(j + 1) * per_output];
-                            let out = Tensor::from_vec(row.to_vec(), &out_dims)
-                                .map_err(|e| EngineError::Execution(e.to_string()))?;
-                            outputs.push(out);
-                        }
-                    }
-                    Err(_) => {
-                        // The batched run cannot say which input poisoned
-                        // it; re-run the chunk serially so the failing index
-                        // is identified and healthy inputs still complete.
-                        for (j, input) in chunk.iter().enumerate() {
-                            let out = self
-                                .run(input)
-                                .map_err(|e| indexed_input_error(start + j, &e))?
-                                .clone();
-                            outputs.push(out);
-                        }
-                    }
-                }
+            outputs.truncate(done);
+            // A batched run cannot say which input poisoned it; run the
+            // chunk serially so the failing index is identified and healthy
+            // inputs still complete.
+            for (j, input) in chunk.iter().enumerate() {
+                let out = self.run(input);
+                outputs.push(
+                    out.map_err(|e| indexed_input_error(c * per_chunk + j, &e))?
+                        .clone(),
+                );
             }
-            start += chunk.len();
         }
         Ok(outputs)
+    }
+
+    /// Runs `chunk` as one stacked batch and appends its rows to `outputs`.
+    fn run_stacked(
+        &mut self,
+        chunk: &[Tensor],
+        outputs: &mut Vec<Tensor>,
+    ) -> Result<(), EngineError> {
+        let mut dims = self.plan.input_dims.clone();
+        dims[0] *= chunk.len();
+        let data = chunk.iter().flat_map(Tensor::as_slice).copied().collect();
+        let stacked = Tensor::from_vec(data, &dims).map_err(OpError::from)?;
+        let out_dims = self.plan.buckets[0].slot_dims[self.plan.output_slot].clone();
+        let served = self.run(&stacked)?.as_slice();
+        let per_output = served.len() / chunk.len();
+        for j in 0..chunk.len() {
+            let row = served[j * per_output..(j + 1) * per_output].to_vec();
+            outputs.push(Tensor::from_vec(row, &out_dims).map_err(OpError::from)?);
+        }
+        Ok(())
     }
 
     /// The one loop in the workspace that executes plan steps. It stamps
     /// each step's wall time into `step_ns` with one clock read per step.
     fn run_inner(&mut self, input: &Tensor) -> Result<(), EngineError> {
-        let plan = Arc::clone(&self.plan);
-        let bucket = &plan.buckets[self.active];
-        let mp = &bucket.memory;
+        let Session {
+            plan,
+            pool,
+            model,
+            arenas,
+            active,
+            fan_in,
+            reference,
+            step_ns,
+            run_ns,
+            ..
+        } = self;
+        let bucket = &plan.buckets[*active];
+        let Arena { data, slots } = &mut arenas[*active];
         let mut run_span = observe::span("run", "session");
-        run_span.attr("model", self.model.as_str());
+        run_span.attr("model", model.as_str());
         let start = Instant::now();
-        self.reset();
 
-        // Materialize the input into its planned buffer; a between-rung
-        // batch fills only its own rows and the tail is zero-padded to the
-        // bucket's extent (batch rows are independent in every modeled op,
-        // so padded rows cannot bleed into real ones).
-        {
-            let slot = plan.input_slot;
-            let state = &mut self.states[self.active];
-            let mut data = std::mem::take(&mut state.arena[mp.buffer_of[slot]]);
-            data.clear();
-            data.extend_from_slice(input.as_slice());
-            if data.len() < state.slot_elems[slot] {
-                data.resize(state.slot_elems[slot], 0.0);
-            }
-            let shape = state.shapes[slot]
-                .take()
-                .unwrap_or_else(|| Shape::new(&bucket.slot_dims[slot]));
-            self.slots[slot] = Some(
-                Tensor::from_parts(shape, data)
-                    .map_err(|e| EngineError::Execution(e.to_string()))?,
-            );
-        }
+        // The input fills its slot; a between-rung batch fills only its own
+        // rows and the tail is zero-padded to the bucket's extent (batch rows
+        // are independent in every modeled op, so padded rows cannot bleed
+        // into real ones).
+        let (rows, pad) = data[slots[plan.input_slot].clone()].split_at_mut(input.len());
+        rows.copy_from_slice(input.as_slice());
+        pad.fill(0.0);
 
         let mut mark = Instant::now();
         for (step_idx, step) in plan.steps.iter().enumerate() {
-            let layer = step_layer(&self.reference, step, step_idx);
-            if mp.view_move[step_idx] {
-                // Pure view over a dying value: move the buffer, skip the
-                // layer entirely.
-                let src = self.slots[step.inputs[0]].take().ok_or_else(|| {
-                    EngineError::Execution(format!(
-                        "layer {:?} reads slot {} before it is produced",
-                        step.layer.name(),
-                        step.inputs[0]
-                    ))
-                })?;
-                let (shape_in, data) = src.into_parts();
-                let state = &mut self.states[self.active];
-                state.shapes[step.inputs[0]] = Some(shape_in);
-                let shape_out = state.shapes[step.output]
-                    .take()
-                    .unwrap_or_else(|| Shape::new(&bucket.slot_dims[step.output]));
-                self.slots[step.output] = Some(
-                    Tensor::from_parts(shape_out, data)
-                        .map_err(|e| EngineError::Execution(e.to_string()))?,
-                );
-            } else {
-                let (shape, data) = self.states[self.active].materialize(
-                    step.output,
-                    mp.buffer_of[step.output],
-                    &bucket.slot_dims[step.output],
-                );
-                let mut out = Tensor::from_parts(shape, data)
-                    .map_err(|e| EngineError::Execution(e.to_string()))?;
-                let mut stack: [&Tensor; MAX_FAN_IN] = [&self.empty; MAX_FAN_IN];
-                let mut heap: Vec<&Tensor> = Vec::new();
-                let inputs: &[&Tensor] = if step.inputs.len() <= MAX_FAN_IN {
-                    for (i, &slot) in step.inputs.iter().enumerate() {
-                        stack[i] = self.slots[slot].as_ref().ok_or_else(|| {
-                            EngineError::Execution(format!(
-                                "layer {:?} reads slot {slot} before it is produced",
-                                step.layer.name()
-                            ))
-                        })?;
-                    }
-                    &stack[..step.inputs.len()]
-                } else {
-                    for &slot in &step.inputs {
-                        heap.push(self.slots[slot].as_ref().ok_or_else(|| {
-                            EngineError::Execution(format!(
-                                "layer {:?} reads slot {slot} before it is produced",
-                                step.layer.name()
-                            ))
-                        })?);
-                    }
-                    &heap
-                };
-                let mut layer_span = observe::span(layer.name(), "layer");
-                // `implementation()` builds a String; skip the attrs entirely
-                // when the recorder is off so steady state stays alloc-free.
-                if observe::enabled() {
-                    layer_span.attr("op", layer.op_name());
-                    layer_span.attr("implementation", layer.implementation());
-                    layer_span.attr("flops", layer.flops());
-                }
-                if let Err(primary) = layer.run_into(inputs, &mut out, &self.pool) {
-                    // Graceful degradation: retry once on the reference
-                    // implementation (into a re-zeroed buffer), surfacing the
-                    // original error if even that cannot run. This path only
-                    // runs on a fault, so the flight-recorder stamp does not
-                    // touch the zero-alloc steady state.
-                    let Some(fallback) = layer.reference_fallback() else {
-                        observe::flight_record(
-                            "selection",
-                            "fault.unrecoverable",
-                            format!("{}: {primary}", layer.name()),
-                        );
-                        return Err(primary);
+            // A view-move step's output already is its input's buffer.
+            if !bucket.memory.view_move[step_idx] {
+                // The plan never gives a step's output the buffer of a value
+                // the step reads, so every input lies wholly before or after
+                // the output's range.
+                let out = slots[step.output].clone();
+                let (head, rest) = data.split_at_mut(out.start);
+                let (out_data, tail) = rest.split_at_mut(out.len());
+                let mut inputs = recycle(std::mem::take(fan_in));
+                for &slot in &step.inputs {
+                    let r = &slots[slot];
+                    let src = if r.end <= out.start {
+                        &head[r.clone()]
+                    } else {
+                        &tail[r.start - out.end..r.end - out.end]
                     };
-                    out.as_mut_slice().fill(0.0);
-                    if fallback.run_into(inputs, &mut out, &self.pool).is_err() {
-                        observe::flight_record(
-                            "selection",
-                            "fallback.failed",
-                            format!("{}: {primary}", layer.name()),
-                        );
-                        return Err(primary);
-                    }
-                    layer_span.attr("fallback", fallback.implementation());
-                    observe::counter_add("selection.fallback", 1);
-                    observe::flight_record(
-                        "selection",
-                        "fallback",
-                        format!(
-                            "{}: rescued by {} after: {primary}",
-                            layer.name(),
-                            fallback.implementation()
-                        ),
-                    );
+                    inputs
+                        .push(TensorRef::new(src, &bucket.slot_dims[slot]).map_err(OpError::from)?);
                 }
-                self.slots[step.output] = Some(out);
-            }
-
-            // Liveness-driven recycling: every slot last read by this step
-            // hands its storage back to the arena.
-            for &slot in &mp.reclaim_at[step_idx] {
-                if let Some(t) = self.slots[slot].take() {
-                    let (shape, data) = t.into_parts();
-                    let state = &mut self.states[self.active];
-                    state.shapes[slot] = Some(shape);
-                    state.arena[mp.buffer_of[slot]] = data;
-                }
+                let layer = step_layer(reference, step, step_idx);
+                let result = run_step(
+                    layer,
+                    &inputs,
+                    out_data,
+                    &bucket.slot_dims[step.output],
+                    pool,
+                );
+                *fan_in = recycle(inputs);
+                result?;
             }
             let now = Instant::now();
-            self.step_ns[step_idx] = now.duration_since(mark).as_nanos() as u64;
+            step_ns[step_idx] = now.duration_since(mark).as_nanos() as u64;
             mark = now;
         }
 
-        self.run_ns = mark.duration_since(start).as_nanos() as u64;
-        observe::histogram_record("run.latency_us", self.run_ns / 1_000);
+        *run_ns = mark.duration_since(start).as_nanos() as u64;
+        observe::histogram_record("run.latency_us", *run_ns / 1_000);
         drop(run_span);
         Ok(())
     }
+}
+
+/// Runs one step's layer into `out`, a slice of the arena viewed as `dims`.
+/// If the layer fails, retries once on its reference implementation and
+/// surfaces the original error if even that cannot run. The retry only
+/// runs on a fault, so its flight-recorder stamps do not touch the
+/// zero-alloc steady state.
+fn run_step(
+    layer: &dyn Layer,
+    inputs: &[TensorRef<'_>],
+    out: &mut [f32],
+    dims: &[usize],
+    pool: &ThreadPool,
+) -> Result<(), EngineError> {
+    let mut layer_span = observe::span(layer.name(), "layer");
+    layer_span.attr("op", layer.op_name());
+    layer_span.attr("implementation", layer.implementation());
+    layer_span.attr("flops", layer.flops());
+    poison(out);
+    let output = TensorMut::new(&mut *out, dims).map_err(OpError::from)?;
+    let Err(primary) = layer.run_into(inputs, output, pool) else {
+        return Ok(());
+    };
+    let Some(fallback) = layer.reference_fallback() else {
+        observe::flight_record(
+            "selection",
+            "fault.unrecoverable",
+            format!("{}: {primary}", layer.name()),
+        );
+        return Err(primary);
+    };
+    poison(out);
+    let output = TensorMut::new(out, dims).map_err(OpError::from)?;
+    if fallback.run_into(inputs, output, pool).is_err() {
+        observe::flight_record(
+            "selection",
+            "fallback.failed",
+            format!("{}: {primary}", layer.name()),
+        );
+        return Err(primary);
+    }
+    layer_span.attr("fallback", fallback.implementation());
+    observe::counter_add("selection.fallback", 1);
+    observe::flight_record(
+        "selection",
+        "fallback",
+        format!(
+            "{}: rescued by {} after: {primary}",
+            layer.name(),
+            fallback.implementation()
+        ),
+    );
+    Ok(())
+}
+
+/// The write-once oracle: debug builds fill a step's output with NaN before
+/// its layer runs, so a layer that leaves any of it unwritten (or reads it
+/// first) poisons the session output. Release builds skip the fill.
+fn poison(out: &mut [f32]) {
+    if cfg!(debug_assertions) {
+        out.fill(f32::NAN);
+    }
+}
+
+/// Empties `views` and returns its allocation as a vector of views of
+/// another lifetime, so one vector carries every step's input views without
+/// a view outliving the arena borrow it came from. Collecting an empty
+/// vector into one of a same-layout element type reuses its allocation in
+/// place, so this never touches the allocator (`zero_alloc.rs` pins it).
+fn recycle<'b>(mut views: Vec<TensorRef<'_>>) -> Vec<TensorRef<'b>> {
+    views.clear();
+    views.into_iter().map(|_| unreachable!()).collect()
 }
 
 /// The layer step `idx` runs: the prebuilt reference twin on
@@ -925,6 +814,69 @@ mod tests {
             }
         }
         assert!(twins > 0, "no step has a reference twin");
+    }
+
+    /// The write-once oracle is live: in a debug build, a layer that leaves
+    /// its output untouched yields NaN at the session output.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn debug_poison_exposes_an_unwritten_output() {
+        use crate::error::EngineError;
+        use crate::layer::Layer;
+        use crate::lower::{BucketPlan, Plan, PlanStep};
+        use crate::plan::plan_memory;
+        use orpheus_tensor::{TensorMut, TensorRef};
+        use orpheus_threads::ThreadPool;
+        use std::sync::Arc;
+
+        #[derive(Debug)]
+        struct Lazy;
+        impl Layer for Lazy {
+            fn name(&self) -> &str {
+                "lazy"
+            }
+            fn op_name(&self) -> &str {
+                "Lazy"
+            }
+            fn implementation(&self) -> &str {
+                "writes-nothing"
+            }
+            fn run_into(
+                &self,
+                _: &[TensorRef<'_>],
+                _: TensorMut<'_>,
+                _: &ThreadPool,
+            ) -> Result<(), EngineError> {
+                Ok(())
+            }
+        }
+
+        let steps = vec![PlanStep {
+            layer: Box::new(Lazy),
+            inputs: vec![0],
+            output: 1,
+            viewable: false,
+        }];
+        let last_use = vec![0, usize::MAX];
+        let slot_dims = vec![vec![1, 4]; 2];
+        let plan = Plan {
+            num_slots: 2,
+            input_slot: 0,
+            input_dims: vec![1, 4],
+            output_slot: 1,
+            buckets: vec![BucketPlan {
+                batch: 1,
+                memory: plan_memory(&steps, &last_use, &slot_dims),
+                slot_dims,
+            }],
+            steps: steps.into(),
+            last_use,
+            gemm_isa: "scalar",
+        };
+        let mut session =
+            super::Session::new(Arc::new(plan), ThreadPool::single(), "lazy".into(), false);
+        let out = session.run(&Tensor::ones(&[1, 4])).unwrap();
+        assert!(out.as_slice().iter().all(|x| x.is_nan()), "{out:?}");
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl PlanSummary {
             .map(|step| LayerSummary {
                 name: step.layer.name().to_string(),
                 op: step.layer.op_name().to_string(),
-                implementation: step.layer.implementation(),
+                implementation: step.layer.implementation().to_string(),
                 flops: step.layer.flops(),
             })
             .collect();

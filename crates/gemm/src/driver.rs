@@ -245,6 +245,26 @@ mod tests {
         }
     }
 
+    /// `beta == 0` means `C` is write-only: a NaN-filled `C` must not reach
+    /// the result at any tier, on the wide path or the narrow (small-n) one.
+    #[test]
+    fn beta_zero_never_reads_c() {
+        for (m, n, k) in [(5, 33, 7), (6, 3, 9)] {
+            let a = seq(m * k);
+            let b = seq(k * n);
+            let mut want = vec![0.0; m * n];
+            gemm(GemmKernel::Naive, m, n, k, &a, k, &b, n, &mut want, n, 0.0);
+            for kernel in GemmKernel::ALL {
+                let mut c = vec![f32::NAN; m * n];
+                gemm(kernel, m, n, k, &a, k, &b, n, &mut c, n, 0.0);
+                for (x, y) in want.iter().zip(&c) {
+                    assert!(y.is_finite(), "{kernel} {m}x{n}x{k}: read NaN from C");
+                    assert!((x - y).abs() < 1e-3, "{kernel}: {x} vs {y}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn parallel_matches_serial() {
         let (m, n, k) = (37, 19, 29);

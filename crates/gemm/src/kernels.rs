@@ -27,8 +27,10 @@ pub(crate) fn gemm_naive(
             for p in 0..k {
                 acc += a[i * lda + p] * b[p * ldb + j];
             }
+            // BLAS contract: `C` is not read when `beta == 0`, so stale or
+            // NaN contents of the output cannot leak into the result.
             let slot = &mut c[i * ldc + j];
-            *slot = acc + beta * *slot;
+            *slot = if beta == 0.0 { acc } else { acc + beta * *slot };
         }
     }
 }

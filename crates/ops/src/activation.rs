@@ -1,6 +1,6 @@
 //! Element-wise activation functions.
 
-use orpheus_tensor::Tensor;
+use orpheus_tensor::{Tensor, TensorMut, TensorRef};
 
 /// An element-wise activation.
 ///
@@ -97,7 +97,7 @@ impl Activation {
     /// # Panics
     ///
     /// Panics if the element counts differ (the copy is length-checked).
-    pub fn run_into(&self, input: &Tensor, output: &mut Tensor) {
+    pub fn run_into(&self, input: TensorRef<'_>, mut output: TensorMut<'_>) {
         output.as_mut_slice().copy_from_slice(input.as_slice());
         self.apply_slice(output.as_mut_slice());
     }

@@ -1,8 +1,8 @@
 //! Channel concatenation (Inception branch joins).
 
-use orpheus_tensor::{ShapeError, Tensor};
+use orpheus_tensor::{ShapeError, Tensor, TensorMut, TensorRef};
 
-use crate::error::OpError;
+use crate::error::{expect_dims, expect_rank, OpError};
 
 /// Concatenates NCHW tensors along the channel axis.
 ///
@@ -14,9 +14,10 @@ use crate::error::OpError;
 /// Returns [`OpError::InvalidParams`] for an empty input list and
 /// [`OpError::Shape`] for rank or dimension mismatches.
 pub fn concat_channels(inputs: &[&Tensor]) -> Result<Tensor, OpError> {
-    let (n, total_c, h, w) = concat_dims(inputs)?;
+    let views: Vec<TensorRef<'_>> = inputs.iter().map(|t| t.view()).collect();
+    let (n, total_c, h, w) = concat_dims(&views)?;
     let mut out = Tensor::zeros(&[n, total_c, h, w]);
-    concat_channels_into(inputs, &mut out)?;
+    concat_channels_into(&views, out.view_mut())?;
     Ok(out)
 }
 
@@ -26,15 +27,12 @@ pub fn concat_channels(inputs: &[&Tensor]) -> Result<Tensor, OpError> {
 ///
 /// Same as [`concat_channels`], plus [`OpError::Shape`] if `output` does not
 /// have the concatenated dims.
-pub fn concat_channels_into(inputs: &[&Tensor], output: &mut Tensor) -> Result<(), OpError> {
+pub fn concat_channels_into(
+    inputs: &[TensorRef<'_>],
+    mut output: TensorMut<'_>,
+) -> Result<(), OpError> {
     let (n, total_c, h, w) = concat_dims(inputs)?;
-    if output.dims() != [n, total_c, h, w] {
-        return Err(ShapeError::Mismatch {
-            left: output.dims().to_vec(),
-            right: vec![n, total_c, h, w],
-        }
-        .into());
-    }
+    expect_dims(output.dims(), &[n, total_c, h, w])?;
     let plane = h * w;
     let out_data = output.as_mut_slice();
     for img in 0..n {
@@ -51,17 +49,11 @@ pub fn concat_channels_into(inputs: &[&Tensor], output: &mut Tensor) -> Result<(
 }
 
 /// Validates the concat inputs and returns the `[n, total_c, h, w]` dims.
-fn concat_dims(inputs: &[&Tensor]) -> Result<(usize, usize, usize, usize), OpError> {
+fn concat_dims(inputs: &[TensorRef<'_>]) -> Result<(usize, usize, usize, usize), OpError> {
     let first = inputs
         .first()
         .ok_or_else(|| OpError::InvalidParams("concat needs at least one input".into()))?;
-    if first.dims().len() != 4 {
-        return Err(ShapeError::RankMismatch {
-            expected: 4,
-            actual: first.dims().len(),
-        }
-        .into());
-    }
+    expect_rank(first.dims(), 4)?;
     let [n, _, h, w] = [
         first.dims()[0],
         first.dims()[1],

@@ -15,7 +15,7 @@
 //! which accumulates all taps in registers, seeds the accumulator with the
 //! bias, clamps in-register and stores each output once.
 
-use orpheus_tensor::Tensor;
+use orpheus_tensor::{Tensor, TensorMut, TensorRef};
 use orpheus_threads::ThreadPool;
 
 use super::{Conv2dParams, ConvKernel, Epilogue};
@@ -44,8 +44,8 @@ impl ConvKernel for DepthwiseDirect {
         &self,
         params: &Conv2dParams,
         weight: &Tensor,
-        input: &Tensor,
-        output: &mut Tensor,
+        input: TensorRef<'_>,
+        mut output: TensorMut<'_>,
         epilogue: &Epilogue,
         pool: &ThreadPool,
     ) {

@@ -5,7 +5,7 @@
 //! personality runs on it (the paper reports DarkNet inference "measured in
 //! seconds"; this is why).
 
-use orpheus_tensor::Tensor;
+use orpheus_tensor::{Tensor, TensorMut, TensorRef};
 use orpheus_threads::ThreadPool;
 
 use super::{Conv2dParams, ConvKernel, Epilogue};
@@ -22,8 +22,8 @@ impl ConvKernel for Direct {
         &self,
         params: &Conv2dParams,
         weight: &Tensor,
-        input: &Tensor,
-        output: &mut Tensor,
+        input: TensorRef<'_>,
+        mut output: TensorMut<'_>,
         _: &Epilogue,
         pool: &ThreadPool,
     ) {

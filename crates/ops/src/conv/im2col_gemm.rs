@@ -26,7 +26,7 @@ use orpheus_gemm::{
     gemm_parallel, gemm_prepacked_a_images, im2col, GemmKernel, Im2colParams, PackedWeights,
     PanelLayout, PanelLoader,
 };
-use orpheus_tensor::Tensor;
+use orpheus_tensor::{Tensor, TensorMut, TensorRef};
 use orpheus_threads::ThreadPool;
 
 use super::{Conv2dParams, ConvKernel, Epilogue};
@@ -85,8 +85,8 @@ impl ConvKernel for Gemm {
         &self,
         params: &Conv2dParams,
         weight: &Tensor,
-        input: &Tensor,
-        output: &mut Tensor,
+        input: TensorRef<'_>,
+        mut output: TensorMut<'_>,
         _: &Epilogue,
         pool: &ThreadPool,
     ) {

@@ -27,11 +27,11 @@ pub use depthwise::DEPTHWISE_MAX_TAPS;
 use std::fmt;
 
 use orpheus_gemm::GemmKernel;
-use orpheus_tensor::{ShapeError, Tensor};
+use orpheus_tensor::{Tensor, TensorMut, TensorRef};
 use orpheus_threads::ThreadPool;
 
 use crate::activation::Activation;
-use crate::error::OpError;
+use crate::error::{expect_dims, expect_rank, OpError};
 
 /// Geometry and grouping of a 2-D convolution.
 ///
@@ -298,12 +298,16 @@ impl fmt::Display for ConvAlgorithm {
 trait ConvKernel: fmt::Debug + Send + Sync {
     /// Convolves `input` into the pre-sized `output`. `weight` is the
     /// layer's `[co, ci/g, kh, kw]` tensor.
+    ///
+    /// Write-once: every element of `output` is written and none is read
+    /// first, so its prior contents (stale arena data, or the NaN poison of
+    /// a debug-built session) never reach the result.
     fn run_into(
         &self,
         params: &Conv2dParams,
         weight: &Tensor,
-        input: &Tensor,
-        output: &mut Tensor,
+        input: TensorRef<'_>,
+        output: TensorMut<'_>,
         epilogue: &Epilogue,
         pool: &ThreadPool,
     );
@@ -326,7 +330,7 @@ struct Epilogue {
 impl Epilogue {
     /// Applies bias and activation in one pass over the output, one channel
     /// plane at a time.
-    fn apply(&self, output: &mut Tensor) {
+    fn apply(&self, mut output: TensorMut<'_>) {
         let dims = output.dims();
         let (co, plane) = (dims[1], dims[2] * dims[3]);
         if plane == 0 || (self.bias.is_none() && self.activation.is_none()) {
@@ -377,21 +381,9 @@ impl Conv2d {
     ) -> Result<Self, OpError> {
         params.validate()?;
         let expected = params.weight_dims();
-        if weight.dims() != expected {
-            return Err(ShapeError::Mismatch {
-                left: weight.dims().to_vec(),
-                right: expected.to_vec(),
-            }
-            .into());
-        }
+        expect_dims(weight.dims(), &expected)?;
         if let Some(b) = &bias {
-            if b.dims() != [params.out_channels] {
-                return Err(ShapeError::Mismatch {
-                    left: b.dims().to_vec(),
-                    right: vec![params.out_channels],
-                }
-                .into());
-            }
+            expect_dims(b.dims(), &[params.out_channels])?;
         }
         if !algorithm.supports(&params) {
             return Err(OpError::Unsupported(format!(
@@ -448,20 +440,8 @@ impl Conv2d {
     /// Returns [`OpError::Shape`] if the input is not rank 4 or its channel
     /// count differs from `params.in_channels`.
     pub fn output_dims(&self, dims: &[usize]) -> Result<[usize; 4], OpError> {
-        if dims.len() != 4 {
-            return Err(ShapeError::RankMismatch {
-                expected: 4,
-                actual: dims.len(),
-            }
-            .into());
-        }
-        if dims[1] != self.params.in_channels {
-            return Err(ShapeError::Mismatch {
-                left: vec![dims[1]],
-                right: vec![self.params.in_channels],
-            }
-            .into());
-        }
+        expect_rank(dims, 4)?;
+        expect_dims(&[dims[1]], &[self.params.in_channels])?;
         Ok([
             dims[0],
             self.params.out_channels,
@@ -482,30 +462,26 @@ impl Conv2d {
         Ok(output)
     }
 
-    /// Runs the convolution into a pre-allocated output tensor.
+    /// Runs the convolution into a pre-allocated output: a [`Tensor`] or a
+    /// view of one, either way written whole and never read.
     ///
     /// # Errors
     ///
     /// Returns [`OpError::Shape`] if `output` does not have the expected dims.
-    pub fn run_into(
+    pub fn run_into<'i, 'o>(
         &self,
-        input: &Tensor,
-        output: &mut Tensor,
+        input: impl Into<TensorRef<'i>>,
+        output: impl Into<TensorMut<'o>>,
         pool: &ThreadPool,
     ) -> Result<(), OpError> {
+        let (input, mut output) = (input.into(), output.into());
         let out_dims = self.output_dims(input.dims())?;
-        if output.dims() != out_dims {
-            return Err(ShapeError::Mismatch {
-                left: output.dims().to_vec(),
-                right: out_dims.to_vec(),
-            }
-            .into());
-        }
+        expect_dims(output.dims(), &out_dims)?;
         self.kernel.run_into(
             &self.params,
             &self.weight,
             input,
-            output,
+            output.reborrow(),
             &self.epilogue,
             pool,
         );

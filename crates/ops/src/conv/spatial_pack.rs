@@ -21,7 +21,7 @@
 //! the paper's headline measurement is batch 1 on a single thread, where this
 //! choice is irrelevant.
 
-use orpheus_tensor::Tensor;
+use orpheus_tensor::{Tensor, TensorMut, TensorRef};
 use orpheus_threads::ThreadPool;
 
 use super::{Conv2dParams, ConvKernel, Epilogue};
@@ -73,8 +73,8 @@ impl ConvKernel for SpatialPack {
         &self,
         params: &Conv2dParams,
         _: &Tensor,
-        input: &Tensor,
-        output: &mut Tensor,
+        input: TensorRef<'_>,
+        mut output: TensorMut<'_>,
         _: &Epilogue,
         pool: &ThreadPool,
     ) {

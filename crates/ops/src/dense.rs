@@ -1,11 +1,11 @@
 //! Fully-connected (dense) layer.
 
 use orpheus_gemm::{gemm_parallel, gemm_prepacked_b, GemmKernel, PackedWeights};
-use orpheus_tensor::{ShapeError, Tensor};
+use orpheus_tensor::{ShapeError, Tensor, TensorMut, TensorRef};
 use orpheus_threads::ThreadPool;
 
 use crate::activation::Activation;
-use crate::error::OpError;
+use crate::error::{expect_dims, expect_rank, OpError};
 
 /// Dense layer algorithm choice, mirroring the convolution design: the same
 /// layer can run a naive loop or any GEMM tier.
@@ -54,23 +54,11 @@ impl Dense {
         bias: Option<Tensor>,
         algorithm: DenseAlgorithm,
     ) -> Result<Self, OpError> {
-        if weight.dims().len() != 2 {
-            return Err(ShapeError::RankMismatch {
-                expected: 2,
-                actual: weight.dims().len(),
-            }
-            .into());
-        }
+        expect_rank(weight.dims(), 2)?;
         let out_features = weight.dims()[0];
         let in_features = weight.dims()[1];
         if let Some(b) = &bias {
-            if b.dims() != [out_features] {
-                return Err(ShapeError::Mismatch {
-                    left: b.dims().to_vec(),
-                    right: vec![out_features],
-                }
-                .into());
-            }
+            expect_dims(b.dims(), &[out_features])?;
         }
         let packed = match algorithm {
             DenseAlgorithm::Gemm(GemmKernel::Packed | GemmKernel::PackedScalar) => Some(
@@ -113,33 +101,29 @@ impl Dense {
     /// Returns [`OpError::Shape`] if the flattened feature count does not
     /// match the weight.
     pub fn run(&self, input: &Tensor, pool: &ThreadPool) -> Result<Tensor, OpError> {
-        let batch = self.batch_of(input)?;
+        let batch = self.batch_of(input.view())?;
         let mut output = Tensor::zeros(&[batch, self.out_features]);
         self.run_into(input, &mut output, pool)?;
         Ok(output)
     }
 
     /// [`Dense::run`] writing into a preallocated `[batch, out_features]`
-    /// output tensor.
+    /// output: a [`Tensor`] or a view of one, either way written whole and
+    /// never read.
     ///
     /// # Errors
     ///
     /// Same as [`Dense::run`], plus [`OpError::Shape`] if `output` does not
     /// have dims `[batch, out_features]`.
-    pub fn run_into(
+    pub fn run_into<'i, 'o>(
         &self,
-        input: &Tensor,
-        output: &mut Tensor,
+        input: impl Into<TensorRef<'i>>,
+        output: impl Into<TensorMut<'o>>,
         pool: &ThreadPool,
     ) -> Result<(), OpError> {
+        let (input, mut output) = (input.into(), output.into());
         let batch = self.batch_of(input)?;
-        if output.dims() != [batch, self.out_features] {
-            return Err(ShapeError::Mismatch {
-                left: output.dims().to_vec(),
-                right: vec![batch, self.out_features],
-            }
-            .into());
-        }
+        expect_dims(output.dims(), &[batch, self.out_features])?;
         let x = input.as_slice();
         let w = self.weight.as_slice();
         let y = output.as_mut_slice();
@@ -229,7 +213,7 @@ impl Dense {
     }
 
     /// Validates the input dims and returns the batch size.
-    fn batch_of(&self, input: &Tensor) -> Result<usize, OpError> {
+    fn batch_of(&self, input: TensorRef<'_>) -> Result<usize, OpError> {
         let total = input.len();
         if !total.is_multiple_of(self.in_features) {
             return Err(ShapeError::Mismatch {

@@ -1,9 +1,9 @@
 //! Element-wise binary operators (residual connections and friends).
 
-use orpheus_tensor::{ShapeError, Tensor};
+use orpheus_tensor::{Tensor, TensorMut, TensorRef};
 
 use crate::activation::Activation;
-use crate::error::OpError;
+use crate::error::{expect_dims, OpError};
 
 /// Which element-wise binary operation to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,24 +37,12 @@ pub fn binary(op: BinaryOp, a: &Tensor, b: &Tensor) -> Result<Tensor, OpError> {
 /// Returns [`OpError::Shape`] if the input or output shapes differ.
 pub fn binary_into(
     op: BinaryOp,
-    a: &Tensor,
-    b: &Tensor,
-    output: &mut Tensor,
+    a: TensorRef<'_>,
+    b: TensorRef<'_>,
+    mut output: TensorMut<'_>,
 ) -> Result<(), OpError> {
-    if a.shape() != b.shape() {
-        return Err(ShapeError::Mismatch {
-            left: a.dims().to_vec(),
-            right: b.dims().to_vec(),
-        }
-        .into());
-    }
-    if output.shape() != a.shape() {
-        return Err(ShapeError::Mismatch {
-            left: output.dims().to_vec(),
-            right: a.dims().to_vec(),
-        }
-        .into());
-    }
+    expect_dims(a.dims(), b.dims())?;
+    expect_dims(output.dims(), a.dims())?;
     let f = match op {
         BinaryOp::Add => |x: f32, y: f32| x + y,
         BinaryOp::Sub => |x: f32, y: f32| x - y,
@@ -78,13 +66,7 @@ pub fn binary_into(
 ///
 /// Returns [`OpError::Shape`] if the shapes differ.
 pub fn add_activate(a: &Tensor, b: &Tensor, act: Activation) -> Result<Tensor, OpError> {
-    if a.shape() != b.shape() {
-        return Err(ShapeError::Mismatch {
-            left: a.dims().to_vec(),
-            right: b.dims().to_vec(),
-        }
-        .into());
-    }
+    expect_dims(a.dims(), b.dims())?;
     let mut out = a.clone();
     for (o, &y) in out.as_mut_slice().iter_mut().zip(b.as_slice()) {
         *o = act.apply(*o + y);
@@ -98,25 +80,13 @@ pub fn add_activate(a: &Tensor, b: &Tensor, act: Activation) -> Result<Tensor, O
 ///
 /// Returns [`OpError::Shape`] if the input or output shapes differ.
 pub fn add_activate_into(
-    a: &Tensor,
-    b: &Tensor,
+    a: TensorRef<'_>,
+    b: TensorRef<'_>,
     act: Activation,
-    output: &mut Tensor,
+    mut output: TensorMut<'_>,
 ) -> Result<(), OpError> {
-    if a.shape() != b.shape() {
-        return Err(ShapeError::Mismatch {
-            left: a.dims().to_vec(),
-            right: b.dims().to_vec(),
-        }
-        .into());
-    }
-    if output.shape() != a.shape() {
-        return Err(ShapeError::Mismatch {
-            left: output.dims().to_vec(),
-            right: a.dims().to_vec(),
-        }
-        .into());
-    }
+    expect_dims(a.dims(), b.dims())?;
+    expect_dims(output.dims(), a.dims())?;
     for ((o, &x), &y) in output
         .as_mut_slice()
         .iter_mut()

@@ -43,6 +43,31 @@ impl From<ShapeError> for OpError {
     }
 }
 
+/// `Ok` when `got` equals `want`, else the [`ShapeError::Mismatch`] naming
+/// both (`got` on the left).
+pub(crate) fn expect_dims(got: &[usize], want: &[usize]) -> Result<(), OpError> {
+    if got != want {
+        return Err(ShapeError::Mismatch {
+            left: got.to_vec(),
+            right: want.to_vec(),
+        }
+        .into());
+    }
+    Ok(())
+}
+
+/// `Ok` when `dims` has rank `rank`, else the [`ShapeError::RankMismatch`].
+pub(crate) fn expect_rank(dims: &[usize], rank: usize) -> Result<(), OpError> {
+    if dims.len() != rank {
+        return Err(ShapeError::RankMismatch {
+            expected: rank,
+            actual: dims.len(),
+        }
+        .into());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

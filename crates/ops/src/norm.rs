@@ -1,8 +1,8 @@
 //! Inference-time batch normalization.
 
-use orpheus_tensor::{ShapeError, Tensor};
+use orpheus_tensor::{ShapeError, Tensor, TensorMut, TensorRef};
 
-use crate::error::OpError;
+use crate::error::{expect_dims, expect_rank, OpError};
 
 /// Batch normalization in inference mode:
 /// `y = scale * (x - mean) / sqrt(var + eps) + shift`, per channel.
@@ -75,7 +75,7 @@ impl BatchNorm {
     /// Returns [`OpError::Shape`] on rank/channel mismatch.
     pub fn run(&self, input: &Tensor) -> Result<Tensor, OpError> {
         let mut out = Tensor::zeros(input.dims());
-        self.run_into(input, &mut out)?;
+        self.run_into(input.view(), out.view_mut())?;
         Ok(out)
     }
 
@@ -86,34 +86,16 @@ impl BatchNorm {
     ///
     /// Same as [`BatchNorm::run`], plus [`OpError::Shape`] on an output dims
     /// mismatch.
-    pub fn run_into(&self, input: &Tensor, output: &mut Tensor) -> Result<(), OpError> {
-        if input.dims().len() != 4 {
-            return Err(ShapeError::RankMismatch {
-                expected: 4,
-                actual: input.dims().len(),
-            }
-            .into());
-        }
+    pub fn run_into(&self, input: TensorRef<'_>, mut output: TensorMut<'_>) -> Result<(), OpError> {
+        expect_rank(input.dims(), 4)?;
         let [n, c, h, w] = [
             input.dims()[0],
             input.dims()[1],
             input.dims()[2],
             input.dims()[3],
         ];
-        if c != self.channels() {
-            return Err(ShapeError::Mismatch {
-                left: vec![c],
-                right: vec![self.channels()],
-            }
-            .into());
-        }
-        if output.dims() != input.dims() {
-            return Err(ShapeError::Mismatch {
-                left: output.dims().to_vec(),
-                right: input.dims().to_vec(),
-            }
-            .into());
-        }
+        expect_dims(&[c], &[self.channels()])?;
+        expect_dims(output.dims(), input.dims())?;
         output.as_mut_slice().copy_from_slice(input.as_slice());
         let plane = h * w;
         let data = output.as_mut_slice();

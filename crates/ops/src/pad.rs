@@ -6,7 +6,7 @@
 //! the `pad-fold` graph pass that absorbs zero-padding into a following
 //! convolution.
 
-use orpheus_tensor::{ShapeError, Tensor};
+use orpheus_tensor::{ShapeError, Tensor, TensorMut, TensorRef};
 
 use crate::error::OpError;
 
@@ -26,7 +26,7 @@ pub fn pad_constant(
     // A mis-sized pad spec only truncates the dims here; `_into` rejects it.
     let out_dims: Vec<usize> = padded_dims(input.dims(), begins, ends).collect();
     let mut out = Tensor::zeros(&out_dims);
-    pad_constant_into(input, begins, ends, value, &mut out)?;
+    pad_constant_into(input.view(), begins, ends, value, out.view_mut())?;
     Ok(out)
 }
 
@@ -38,11 +38,11 @@ pub fn pad_constant(
 /// Returns [`OpError::Shape`] if `begins`/`ends` do not have one entry per
 /// dimension or `output` does not have the padded dims.
 pub fn pad_constant_into(
-    input: &Tensor,
+    input: TensorRef<'_>,
     begins: &[usize],
     ends: &[usize],
     value: f32,
-    output: &mut Tensor,
+    mut output: TensorMut<'_>,
 ) -> Result<(), OpError> {
     let in_dims = input.dims();
     let rank = in_dims.len();
@@ -163,9 +163,9 @@ mod tests {
     fn into_rejects_mis_sized_output_and_overwrites_stale_data() {
         let t = Tensor::ones(&[1, 2]);
         let mut wrong = Tensor::zeros(&[3, 3]);
-        assert!(pad_constant_into(&t, &[1, 1], &[1, 1], 0.0, &mut wrong).is_err());
+        assert!(pad_constant_into(t.view(), &[1, 1], &[1, 1], 0.0, wrong.view_mut()).is_err());
         let mut out = Tensor::full(&[3, 4], 7.0);
-        pad_constant_into(&t, &[1, 1], &[1, 1], 0.0, &mut out).unwrap();
+        pad_constant_into(t.view(), &[1, 1], &[1, 1], 0.0, out.view_mut()).unwrap();
         assert_eq!(out, pad_constant(&t, &[1, 1], &[1, 1], 0.0).unwrap());
     }
 

@@ -1,10 +1,10 @@
 //! Spatial pooling operators.
 
-use orpheus_tensor::{ShapeError, Tensor};
+use orpheus_tensor::{Tensor, TensorMut, TensorRef};
 use orpheus_threads::ThreadPool;
 
 use crate::conv::conv_out_dim;
-use crate::error::OpError;
+use crate::error::{expect_dims, expect_rank, OpError};
 
 /// Pooling reduction mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,13 +92,7 @@ impl Pool2dParams {
 /// Returns [`OpError::Shape`] if the input is not rank 4, and
 /// [`OpError::InvalidParams`] for zero extents.
 pub fn pool2d(params: &Pool2dParams, input: &Tensor, pool: &ThreadPool) -> Result<Tensor, OpError> {
-    if input.dims().len() != 4 {
-        return Err(ShapeError::RankMismatch {
-            expected: 4,
-            actual: input.dims().len(),
-        }
-        .into());
-    }
+    expect_rank(input.dims(), 4)?;
     if params.kernel_h == 0 || params.kernel_w == 0 || params.stride_h == 0 || params.stride_w == 0
     {
         return Err(OpError::InvalidParams(
@@ -112,7 +106,7 @@ pub fn pool2d(params: &Pool2dParams, input: &Tensor, pool: &ThreadPool) -> Resul
         input.dims()[3],
     ];
     let mut output = Tensor::zeros(&[n, c, params.out_h(ih), params.out_w(iw)]);
-    pool2d_into(params, input, &mut output, pool)?;
+    pool2d_into(params, input.view(), output.view_mut(), pool)?;
     Ok(output)
 }
 
@@ -124,17 +118,11 @@ pub fn pool2d(params: &Pool2dParams, input: &Tensor, pool: &ThreadPool) -> Resul
 /// pooled output dims.
 pub fn pool2d_into(
     params: &Pool2dParams,
-    input: &Tensor,
-    output: &mut Tensor,
+    input: TensorRef<'_>,
+    mut output: TensorMut<'_>,
     pool: &ThreadPool,
 ) -> Result<(), OpError> {
-    if input.dims().len() != 4 {
-        return Err(ShapeError::RankMismatch {
-            expected: 4,
-            actual: input.dims().len(),
-        }
-        .into());
-    }
+    expect_rank(input.dims(), 4)?;
     if params.kernel_h == 0 || params.kernel_w == 0 || params.stride_h == 0 || params.stride_w == 0
     {
         return Err(OpError::InvalidParams(
@@ -148,13 +136,7 @@ pub fn pool2d_into(
         input.dims()[3],
     ];
     let (oh, ow) = (params.out_h(ih), params.out_w(iw));
-    if output.dims() != [n, c, oh, ow] {
-        return Err(ShapeError::Mismatch {
-            left: output.dims().to_vec(),
-            right: vec![n, c, oh, ow],
-        }
-        .into());
-    }
+    expect_dims(output.dims(), &[n, c, oh, ow])?;
     let plane = oh * ow;
     let in_data = input.as_slice();
     let out_data = output.as_mut_slice();
@@ -215,15 +197,9 @@ pub fn pool2d_into(
 ///
 /// Returns [`OpError::Shape`] if the input is not rank 4.
 pub fn global_average_pool(input: &Tensor, pool: &ThreadPool) -> Result<Tensor, OpError> {
-    if input.dims().len() != 4 {
-        return Err(ShapeError::RankMismatch {
-            expected: 4,
-            actual: input.dims().len(),
-        }
-        .into());
-    }
+    expect_rank(input.dims(), 4)?;
     let mut output = Tensor::zeros(&[input.dims()[0], input.dims()[1], 1, 1]);
-    global_average_pool_into(input, &mut output, pool)?;
+    global_average_pool_into(input.view(), output.view_mut(), pool)?;
     Ok(output)
 }
 
@@ -234,30 +210,18 @@ pub fn global_average_pool(input: &Tensor, pool: &ThreadPool) -> Result<Tensor, 
 /// Returns [`OpError::Shape`] if the input is not rank 4 or `output` does not
 /// have dims `[n, c, 1, 1]`.
 pub fn global_average_pool_into(
-    input: &Tensor,
-    output: &mut Tensor,
+    input: TensorRef<'_>,
+    mut output: TensorMut<'_>,
     _pool: &ThreadPool,
 ) -> Result<(), OpError> {
-    if input.dims().len() != 4 {
-        return Err(ShapeError::RankMismatch {
-            expected: 4,
-            actual: input.dims().len(),
-        }
-        .into());
-    }
+    expect_rank(input.dims(), 4)?;
     let [n, c, ih, iw] = [
         input.dims()[0],
         input.dims()[1],
         input.dims()[2],
         input.dims()[3],
     ];
-    if output.dims() != [n, c, 1, 1] {
-        return Err(ShapeError::Mismatch {
-            left: output.dims().to_vec(),
-            right: vec![n, c, 1, 1],
-        }
-        .into());
-    }
+    expect_dims(output.dims(), &[n, c, 1, 1])?;
     let plane = (ih * iw).max(1);
     let data = input.as_slice();
     for (i, out) in output.as_mut_slice().iter_mut().enumerate() {

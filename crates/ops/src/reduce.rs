@@ -4,7 +4,7 @@
 //! `ReduceMean(axes=[2,3])`; supporting the general reduction keeps such
 //! models loadable without special-casing the exporter.
 
-use orpheus_tensor::{ShapeError, Tensor};
+use orpheus_tensor::{ShapeError, Tensor, TensorMut, TensorRef};
 
 use crate::error::OpError;
 
@@ -20,7 +20,7 @@ use crate::error::OpError;
 pub fn reduce_mean(input: &Tensor, axes: &[usize], keepdims: bool) -> Result<Tensor, OpError> {
     let out_dims: Vec<usize> = reduced_dims(input.dims(), axes, keepdims).collect();
     let mut out = Tensor::zeros(&out_dims);
-    reduce_mean_into(input, axes, keepdims, &mut out)?;
+    reduce_mean_into(input.view(), axes, keepdims, out.view_mut())?;
     Ok(out)
 }
 
@@ -32,10 +32,10 @@ pub fn reduce_mean(input: &Tensor, axes: &[usize], keepdims: bool) -> Result<Ten
 /// Returns [`OpError::InvalidParams`] for repeated or out-of-range axes, and
 /// [`OpError::Shape`] for an empty input or an output dims mismatch.
 pub fn reduce_mean_into(
-    input: &Tensor,
+    input: TensorRef<'_>,
     axes: &[usize],
     keepdims: bool,
-    output: &mut Tensor,
+    mut output: TensorMut<'_>,
 ) -> Result<(), OpError> {
     let in_dims = input.dims();
     let rank = in_dims.len();
@@ -157,9 +157,9 @@ mod tests {
     fn into_rejects_mis_shaped_output_and_overwrites_stale_data() {
         let t = Tensor::from_fn(&[2, 3], |i| i as f32);
         let mut wrong = Tensor::zeros(&[2]);
-        assert!(reduce_mean_into(&t, &[1], true, &mut wrong).is_err());
+        assert!(reduce_mean_into(t.view(), &[1], true, wrong.view_mut()).is_err());
         let mut out = Tensor::full(&[2, 1], 9.0);
-        reduce_mean_into(&t, &[1], true, &mut out).unwrap();
+        reduce_mean_into(t.view(), &[1], true, out.view_mut()).unwrap();
         assert_eq!(out.as_slice(), &[1.0, 4.0]);
     }
 

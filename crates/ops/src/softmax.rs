@@ -1,8 +1,8 @@
 //! Numerically-stable softmax.
 
-use orpheus_tensor::{ShapeError, Tensor};
+use orpheus_tensor::{ShapeError, Tensor, TensorMut, TensorRef};
 
-use crate::error::OpError;
+use crate::error::{expect_dims, OpError};
 
 /// Softmax along the last axis (the class axis of a classifier head).
 ///
@@ -13,7 +13,7 @@ use crate::error::OpError;
 /// Returns [`OpError::Shape`] for rank-0 input.
 pub fn softmax(input: &Tensor) -> Result<Tensor, OpError> {
     let mut out = Tensor::zeros(input.dims());
-    softmax_into(input, &mut out)?;
+    softmax_into(input.view(), out.view_mut())?;
     Ok(out)
 }
 
@@ -22,21 +22,15 @@ pub fn softmax(input: &Tensor) -> Result<Tensor, OpError> {
 /// # Errors
 ///
 /// Returns [`OpError::Shape`] for rank-0 input or an output dims mismatch.
-pub fn softmax_into(input: &Tensor, output: &mut Tensor) -> Result<(), OpError> {
-    if input.shape().rank() == 0 {
+pub fn softmax_into(input: TensorRef<'_>, mut output: TensorMut<'_>) -> Result<(), OpError> {
+    if input.dims().is_empty() {
         return Err(ShapeError::RankMismatch {
             expected: 1,
             actual: 0,
         }
         .into());
     }
-    if output.dims() != input.dims() {
-        return Err(ShapeError::Mismatch {
-            left: output.dims().to_vec(),
-            right: input.dims().to_vec(),
-        }
-        .into());
-    }
+    expect_dims(output.dims(), input.dims())?;
     let dims = input.dims();
     let row = dims[dims.len() - 1];
     output.as_mut_slice().copy_from_slice(input.as_slice());

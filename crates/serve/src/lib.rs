@@ -6,8 +6,8 @@
 //!   ([`ServeError::Overloaded`]) instead of growing without bound,
 //! * per-request deadline budgets checked at enqueue and again before
 //!   dispatch ([`ServeError::DeadlineExpired`]),
-//! * worker threads with pre-planned sessions, `catch_unwind` panic
-//!   isolation, and in-place [`orpheus::Session::reset`] respawn,
+//! * worker threads with pre-planned sessions and `catch_unwind` panic
+//!   isolation (a session needs no repair after a caught panic),
 //! * a per-model [`CircuitBreaker`] that trips traffic onto the
 //!   reference-implementation path and half-open-probes its way back,
 //! * graceful, timeout-bounded drain on [`Server::shutdown`].

@@ -10,8 +10,8 @@
 //! * **Deadlines** — a request's budget is checked at enqueue *and* again
 //!   before dispatch; expired requests are shed, never run.
 //! * **Panic isolation** — `Session::run` executes under `catch_unwind`; a
-//!   poisoned worker responds with an error, re-arms its session via
-//!   [`Session::reset`] (no replanning), and keeps serving.
+//!   poisoned worker responds with an error and keeps serving on the same
+//!   session, which holds no state a panic can strand (no replanning).
 //! * **Circuit breaker** — N consecutive primary failures trip the breaker
 //!   open and traffic degrades to a reference-implementation session; a
 //!   half-open probe schedule restores the primary path when it recovers.
@@ -584,7 +584,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs one inference under `catch_unwind`. A panic is converted into data;
-/// the caller is responsible for re-arming the session afterwards.
+/// the session stays usable as it is.
 fn isolated_run(session: &mut Session, input: &Tensor) -> Attempt {
     match catch_unwind(AssertUnwindSafe(|| session.run(input).cloned())) {
         Ok(Ok(output)) => Attempt::Ok(output),
@@ -603,8 +603,8 @@ struct Worker<'a> {
 }
 
 impl Worker<'_> {
-    /// Records a caught panic and re-arms the faulted session in place —
-    /// the plan is untouched, only the arena invariants are restored.
+    /// Records a caught panic. The faulted session needs no repair: its
+    /// arena is never taken apart, so the next run simply overwrites it.
     fn respawn(&mut self, which: Route, message: &str) {
         self.shared
             .stats
@@ -616,20 +616,12 @@ impl Worker<'_> {
             "serve",
             "worker.respawn",
             format!(
-                "worker {} ({:?} route) isolated panic, session re-armed: {}",
+                "worker {} ({:?} route) isolated panic, session kept: {}",
                 self.id,
                 which,
                 observe::truncate(message, 120)
             ),
         );
-        match which {
-            Route::Primary => self.session.reset(),
-            Route::Reference => {
-                if let Some(reference) = self.reference.as_mut() {
-                    reference.reset();
-                }
-            }
-        }
     }
 
     /// Reports a primary failure to the breaker, recording a trip.

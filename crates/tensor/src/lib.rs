@@ -2,7 +2,8 @@
 //!
 //! Orpheus is an inference-only framework, so this crate deliberately keeps the
 //! tensor model small: dense, row-major (C-order), `f32` tensors with an
-//! explicit [`Shape`]. Convolutional data uses the NCHW layout convention
+//! explicit [`Shape`], and borrowed [`TensorRef`] / [`TensorMut`] views that
+//! let the same operator run over an owned tensor or a slice of an arena. Convolutional data uses the NCHW layout convention
 //! throughout the workspace.
 //!
 //! # Examples
@@ -25,6 +26,7 @@ mod io;
 pub mod rng;
 mod shape;
 mod tensor;
+mod view;
 
 pub use approx::{allclose, max_abs_diff, max_rel_diff, AllcloseReport};
 pub use error::{ShapeError, TensorError};
@@ -33,3 +35,4 @@ pub use io::{read_tensor, write_tensor};
 pub use rng::SmallRng;
 pub use shape::Shape;
 pub use tensor::Tensor;
+pub use view::{TensorMut, TensorRef};

@@ -37,6 +37,16 @@ impl Shape {
         Shape { dims: Vec::new() }
     }
 
+    /// Overwrites the extents with `dims`, the leading one replaced by
+    /// `rows` (ignored for rank 0), reusing the storage.
+    pub(crate) fn assign(&mut self, dims: &[usize], rows: usize) {
+        self.dims.clear();
+        self.dims.extend_from_slice(dims);
+        if let Some(lead) = self.dims.first_mut() {
+            *lead = rows;
+        }
+    }
+
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
         self.dims.len()

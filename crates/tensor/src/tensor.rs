@@ -4,6 +4,7 @@ use std::fmt;
 
 use crate::error::ShapeError;
 use crate::shape::Shape;
+use crate::view::{TensorMut, TensorRef};
 
 /// A dense, row-major `f32` tensor.
 ///
@@ -113,28 +114,36 @@ impl Tensor {
         self.data
     }
 
-    /// Decomposes the tensor into its shape and storage without copying.
-    ///
-    /// The arena executor uses this (with [`Tensor::from_parts`]) to move a
-    /// planned buffer in and out of a tensor between layers.
-    pub fn into_parts(self) -> (Shape, Vec<f32>) {
-        (self.shape, self.data)
+    /// A read-only view of the whole tensor.
+    pub fn view(&self) -> TensorRef<'_> {
+        TensorRef::new(&self.data, self.shape.dims()).expect("a tensor's data matches its shape")
     }
 
-    /// Reassembles a tensor from a shape and storage without copying.
+    /// A writable view of the whole tensor.
+    pub fn view_mut(&mut self) -> TensorMut<'_> {
+        TensorMut::new(&mut self.data, self.shape.dims())
+            .expect("a tensor's data matches its shape")
+    }
+
+    /// Overwrites this tensor with a copy of `src` cut to its first `rows`
+    /// entries along dim 0 (all of a rank-0 `src`), reusing this tensor's
+    /// storage: once it has held a value that large and of that rank, the
+    /// copy allocates nothing.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`ShapeError::ElementCountMismatch`] if `data.len()` does not
-    /// equal the shape's element count.
-    pub fn from_parts(shape: Shape, data: Vec<f32>) -> Result<Self, ShapeError> {
-        if data.len() != shape.num_elements() {
-            return Err(ShapeError::ElementCountMismatch {
-                expected: shape.num_elements(),
-                actual: data.len(),
-            });
-        }
-        Ok(Tensor { shape, data })
+    /// Panics if `rows` exceeds `src`'s leading dim.
+    pub fn copy_rows_from(&mut self, src: TensorRef<'_>, rows: usize) {
+        let keep = match src.dims().first() {
+            Some(&lead) => {
+                assert!(rows <= lead, "cannot copy {rows} rows of {lead}");
+                src.len().checked_div(lead).unwrap_or(0) * rows
+            }
+            None => src.len(),
+        };
+        self.shape.assign(src.dims(), rows);
+        self.data.clear();
+        self.data.extend_from_slice(&src.as_slice()[..keep]);
     }
 
     /// Reads the element at a multi-dimensional index.
@@ -415,6 +424,17 @@ mod tests {
         assert!(!s.is_empty());
         let big = format!("{:?}", Tensor::zeros(&[100]));
         assert!(big.contains('…'));
+    }
+
+    #[test]
+    fn copy_rows_from_keeps_the_leading_rows() {
+        let src = Tensor::from_fn(&[3, 2], |i| i as f32);
+        let mut out = Tensor::default();
+        out.copy_rows_from(src.view(), 2);
+        assert_eq!(out.dims(), &[2, 2]);
+        assert_eq!(out.as_slice(), &[0.0, 1.0, 2.0, 3.0]);
+        out.copy_rows_from(Tensor::scalar(7.0).view(), 0);
+        assert_eq!((out.dims(), out.as_slice()), (&[][..], &[7.0][..]));
     }
 
     #[test]

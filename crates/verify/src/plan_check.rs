@@ -312,10 +312,11 @@ fn check_bucket_structure(spec: &PlanSpec, bucket: &BucketSpec, out: &mut Vec<Di
     sound
 }
 
-/// The abstract interpreter: one pass over the step list, mirroring exactly
-/// what `Session::run` does — materialize the input before step 0, per step
-/// either move the dying view input's buffer or materialize the output
-/// buffer from the arena, then process the step's reclaim list.
+/// The abstract interpreter: one pass over the step list, mirroring the
+/// buffer lifetimes `Session::run` relies on — the input is live before
+/// step 0; per step, a view-move output takes over its dying input's buffer
+/// and any other output is written into its own buffer; then the step's
+/// reclaim list frees buffers for reuse.
 fn check_bucket(spec: &PlanSpec, bucket: &BucketSpec, out: &mut Vec<Diagnostic>) {
     let batch = bucket.batch;
     let mut state = vec![SlotState::Unwritten; spec.num_slots];

@@ -23,6 +23,21 @@ echo "== micro-kernel tiers (every tier this host supports) =="
 # "SKIPPED: <tier> (host lacks ...)" for each one the CPU cannot run.
 cargo test -q -p orpheus-gemm --lib packed::tier_tests -- --nocapture
 
+echo "== AddressSanitizer lane (nightly: SIMD parity + every host tier) =="
+# The SIMD micro-kernels are the workspace's only unsafe code. Under ASan an
+# out-of-bounds load or store in a packed panel, an edge tile or the output
+# write-back aborts the test instead of reading a neighbour's memory. ASan
+# needs a nightly toolchain; without one the lane says so and is skipped.
+if rustup toolchain list 2>/dev/null | grep '^nightly' >/dev/null; then
+  host="$(rustc -vV | sed -n 's/^host: //p')"
+  RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q -p orpheus-gemm \
+    --target "$host" --test simd_parity
+  RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q -p orpheus-gemm \
+    --target "$host" --lib packed::tier_tests
+else
+  echo "SKIPPED: asan (no nightly toolchain)"
+fi
+
 echo "== forced-scalar differential lane (ORPHEUS_FORCE_SCALAR=1) =="
 # On SIMD hosts the runtime dispatcher selects the fastest SIMD micro-kernel
 # (AVX-512, else AVX2+FMA), so the default test run proves SIMD correctness
