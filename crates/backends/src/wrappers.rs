@@ -236,10 +236,11 @@ mod tests {
     }
 
     fn reference(params: Conv2dParams, input: &Tensor, weight: &Tensor) -> Tensor {
-        Conv2d::new(params, weight.clone(), None, ConvAlgorithm::Direct)
-            .unwrap()
-            .run(input, &ThreadPool::single())
-            .unwrap()
+        let conv = Conv2d::new(params, weight.clone(), None, ConvAlgorithm::Direct).unwrap();
+        let mut out = Tensor::zeros(&conv.output_dims(input.dims()).unwrap());
+        conv.run_into(input, &mut out, &ThreadPool::single())
+            .unwrap();
+        out
     }
 
     #[test]

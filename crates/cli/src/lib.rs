@@ -432,7 +432,8 @@ pub fn run_depthwise_ablation(
         let input = Tensor::full(&[1, channels, hw, hw], 0.5);
         let fastest_us = |algo| -> Result<f64, EngineError> {
             let conv = Conv2d::new(params, weight.clone(), None, algo)?;
-            let mut output = conv.run(&input, &pool)?; // warm-up
+            let mut output = Tensor::zeros(&conv.output_dims(input.dims())?);
+            conv.run_into(&input, &mut output, &pool)?; // warm-up
             let mut best = f64::INFINITY;
             for _ in 0..DEPTHWISE_PASSES {
                 let start = Instant::now();
@@ -550,7 +551,8 @@ pub fn run_layer_sweep(
                     continue;
                 }
                 let conv = Conv2d::new(params, weight.clone(), None, algo)?;
-                let mut output = conv.run(&input, &pool)?; // warm-up
+                let mut output = Tensor::zeros(&conv.output_dims(input.dims())?);
+                conv.run_into(&input, &mut output, &pool)?; // warm-up
                 let mut samples = [0.0f64; 3];
                 for s in &mut samples {
                     let start = Instant::now();
@@ -595,21 +597,14 @@ pub fn run_simplify_ablation(
     let dims = [1, model.input_dims()[1], input_hw, input_hw];
     let input = Tensor::full(&dims, 0.5);
     let mut layers = [0usize; 2];
-    let mut times = [0.0f64; 2];
+    let mut sessions = Vec::with_capacity(2);
     for (i, simplify) in [false, true].into_iter().enumerate() {
         let engine = Engine::builder().simplification(simplify).build()?;
         let network = engine.load(graph.clone())?;
         layers[i] = network.num_layers();
-        network.run(&input)?;
-        let mut samples = Vec::new();
-        for _ in 0..repeats.max(1) {
-            let start = Instant::now();
-            network.run(&input)?;
-            samples.push(start.elapsed().as_secs_f64() * 1e3);
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        times[i] = samples[samples.len() / 2];
+        sessions.push(network.session());
     }
+    let times = interleaved_medians(&mut sessions, &input, repeats)?;
     Ok(SimplifyReport {
         layers_plain: layers[0],
         layers_simplified: layers[1],
@@ -652,23 +647,53 @@ pub fn run_policy_comparison(
     let graph = build_model_with_input(model, input_hw, input_hw);
     let dims = [1, model.input_dims()[1], input_hw, input_hw];
     let input = Tensor::full(&dims, 0.5);
-    let mut rows = Vec::new();
-    for (label, policy) in policies {
+    let mut sessions = Vec::with_capacity(policies.len());
+    for (_, policy) in &policies {
         let network = Engine::builder()
-            .policy(policy)
+            .policy(*policy)
             .build()?
             .load(graph.clone())?;
-        network.run(&input)?;
-        let mut samples = Vec::new();
-        for _ in 0..repeats.max(1) {
-            let start = Instant::now();
-            network.run(&input)?;
-            samples.push(start.elapsed().as_secs_f64() * 1e3);
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        rows.push((label.to_string(), samples[samples.len() / 2]));
+        sessions.push(network.session());
     }
-    Ok(rows)
+    let times = interleaved_medians(&mut sessions, &input, repeats)?;
+    Ok(policies
+        .iter()
+        .zip(times)
+        .map(|((label, _), ms)| (label.to_string(), ms))
+        .collect())
+}
+
+/// Median run time in ms of each session, with the rows interleaved so a
+/// change of phase on the host is spread over every row rather than read
+/// as a difference between them.
+///
+/// Each session runs once untimed first. Then `repeats` rounds time every
+/// session once each, and the row that goes first rotates round by round.
+fn interleaved_medians(
+    sessions: &mut [orpheus::Session],
+    input: &Tensor,
+    repeats: usize,
+) -> Result<Vec<f64>, EngineError> {
+    for session in sessions.iter_mut() {
+        session.run(input)?; // warm-up
+    }
+    let rows = sessions.len();
+    let mut samples = vec![Vec::with_capacity(repeats.max(1)); rows];
+    for round in 0..repeats.max(1) {
+        for k in 0..rows {
+            let row = (round + k) % rows;
+            let start = Instant::now();
+            sessions[row].run(input)?;
+            samples[row].push(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    Ok(samples
+        .into_iter()
+        .map(|mut s| {
+            s.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            s[s.len() / 2]
+        })
+        .collect())
 }
 
 #[cfg(test)]

@@ -170,12 +170,12 @@ impl Layer for FaultyLayer {
 mod tests {
     use super::*;
     use crate::layer::run_layer;
-    use crate::layers::native::ActivationLayer;
+    use crate::layers::native::{Op, OpLayer};
     use orpheus_ops::activation::Activation;
     use orpheus_tensor::Tensor;
 
     fn relu() -> Box<dyn Layer> {
-        Box::new(ActivationLayer::new("a", Activation::Relu))
+        Box::new(OpLayer::new("a", Op::Activation(Activation::Relu)))
     }
 
     #[test]

@@ -7,9 +7,5 @@
 pub mod native;
 pub mod third_party;
 
-pub use native::{
-    ActivationLayer, AddLayer, BatchNormLayer, ConcatLayer, ConvLayer, DenseLayer, FlattenLayer,
-    GlobalPoolLayer, IdentityLayer, MulLayer, PadLayer, PoolLayer, ReduceMeanLayer, ReshapeLayer,
-    SoftmaxLayer,
-};
+pub use native::{ConvLayer, DenseLayer, Op, OpLayer};
 pub use third_party::{VclConvLayer, VnnlConvLayer};

@@ -180,31 +180,127 @@ impl Layer for DenseLayer {
     }
 }
 
-/// Max/average pooling layer.
+/// The operator an [`OpLayer`] runs, with its parameters: every operator
+/// that carries no pre-packed state of its own.
 #[derive(Debug)]
-pub struct PoolLayer {
-    name: String,
-    params: Pool2dParams,
-    implementation: String,
+pub enum Op {
+    /// Max/average pooling.
+    Pool(Pool2dParams),
+    /// Global average pooling.
+    GlobalAveragePool,
+    /// Standalone batch-norm (when BN folding is disabled or blocked).
+    BatchNorm(BatchNorm),
+    /// Standalone activation.
+    Activation(Activation),
+    /// Residual addition, optionally fused with an activation.
+    Add(Option<Activation>),
+    /// Element-wise multiplication.
+    Mul,
+    /// Channel concatenation of a fixed number of inputs.
+    Concat(usize),
+    /// Softmax along the last axis.
+    Softmax,
+    /// Flatten to `[batch, rest]`.
+    Flatten,
+    /// Reshape to the planned output dims (resolved by shape inference at
+    /// lowering time, per batch bucket).
+    Reshape,
+    /// Constant padding (survives only when `pad-fold` cannot absorb it),
+    /// `begins[d]` before and `ends[d]` after each dimension `d`.
+    Pad {
+        /// Leading pad per dimension.
+        begins: Vec<usize>,
+        /// Trailing pad per dimension.
+        ends: Vec<usize>,
+        /// Fill value.
+        value: f32,
+    },
+    /// Mean over `axes`, which lowering resolves (empty means every
+    /// dimension).
+    ReduceMean {
+        /// Reduced dimensions.
+        axes: Vec<usize>,
+        /// Whether reduced dimensions stay with extent 1.
+        keepdims: bool,
+    },
+    /// Identity (survives only when simplification is disabled).
+    Identity,
 }
 
-impl PoolLayer {
-    /// Creates a pooling layer.
-    pub fn new(name: &str, params: Pool2dParams) -> Self {
-        PoolLayer {
-            name: name.to_string(),
-            params,
-            implementation: format!("{:?}", params.mode).to_lowercase(),
+impl Op {
+    /// The operator family [`Layer::op_name`] reports.
+    fn name(&self) -> &'static str {
+        match self {
+            Op::Pool(_) => "Pool",
+            Op::GlobalAveragePool => "GlobalAveragePool",
+            Op::BatchNorm(_) => "BatchNorm",
+            Op::Activation(_) => "Activation",
+            Op::Add(_) => "Add",
+            Op::Mul => "Mul",
+            Op::Concat(_) => "Concat",
+            Op::Softmax => "Softmax",
+            Op::Flatten => "Flatten",
+            Op::Reshape => "Reshape",
+            Op::Pad { .. } => "Pad",
+            Op::ReduceMean { .. } => "ReduceMean",
+            Op::Identity => "Identity",
+        }
+    }
+
+    /// The implementation [`Layer::implementation`] reports.
+    fn implementation(&self) -> String {
+        match self {
+            Op::Pool(params) => format!("{:?}", params.mode).to_lowercase(),
+            Op::Activation(act) => format!("{act:?}").to_lowercase(),
+            Op::Add(Some(act)) => format!("fused-{act:?}").to_lowercase(),
+            Op::GlobalAveragePool => "direct".into(),
+            Op::BatchNorm(_) => "affine".into(),
+            Op::Add(None) | Op::Mul => "elementwise".into(),
+            Op::Concat(_) => "memcpy".into(),
+            Op::Softmax => "stable".into(),
+            Op::Flatten | Op::Reshape => "view".into(),
+            Op::Pad { .. } => "constant".into(),
+            Op::ReduceMean { .. } => "scatter".into(),
+            Op::Identity => "copy".into(),
+        }
+    }
+
+    /// How many activation inputs the operator takes.
+    fn arity(&self) -> usize {
+        match self {
+            Op::Add(_) | Op::Mul => 2,
+            Op::Concat(arity) => *arity,
+            _ => 1,
         }
     }
 }
 
-impl Layer for PoolLayer {
+/// A layer running one stateless [`Op`].
+#[derive(Debug)]
+pub struct OpLayer {
+    name: String,
+    op: Op,
+    /// The op's implementation name, built once for [`Layer::implementation`].
+    implementation: String,
+}
+
+impl OpLayer {
+    /// Creates a layer running `op`.
+    pub fn new(name: &str, op: Op) -> Self {
+        OpLayer {
+            name: name.to_string(),
+            implementation: op.implementation(),
+            op,
+        }
+    }
+}
+
+impl Layer for OpLayer {
     fn name(&self) -> &str {
         &self.name
     }
     fn op_name(&self) -> &str {
-        "Pool"
+        self.op.name()
     }
     fn implementation(&self) -> &str {
         &self.implementation
@@ -215,501 +311,32 @@ impl Layer for PoolLayer {
         output: TensorMut<'_>,
         pool: &ThreadPool,
     ) -> Result<(), EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        Ok(pool2d_into(&self.params, inputs[0], output, pool)?)
-    }
-}
-
-/// Global average pooling layer.
-#[derive(Debug)]
-pub struct GlobalPoolLayer {
-    name: String,
-}
-
-impl GlobalPoolLayer {
-    /// Creates a global-average-pool layer.
-    pub fn new(name: &str) -> Self {
-        GlobalPoolLayer {
-            name: name.to_string(),
+        let inputs = expect_inputs(&self.name, inputs, self.op.arity())?;
+        match &self.op {
+            Op::Pool(params) => pool2d_into(params, inputs[0], output, pool)?,
+            Op::GlobalAveragePool => global_average_pool_into(inputs[0], output, pool)?,
+            Op::BatchNorm(bn) => bn.run_into(inputs[0], output)?,
+            Op::Activation(act) => act.run_into(inputs[0], output)?,
+            Op::Add(None) => binary_into(BinaryOp::Add, inputs[0], inputs[1], output)?,
+            Op::Add(Some(act)) => add_activate_into(inputs[0], inputs[1], *act, output)?,
+            Op::Mul => binary_into(BinaryOp::Mul, inputs[0], inputs[1], output)?,
+            Op::Concat(_) => concat_channels_into(inputs, output)?,
+            Op::Softmax => softmax_into(inputs[0], output)?,
+            Op::Pad {
+                begins,
+                ends,
+                value,
+            } => pad_constant_into(inputs[0], begins, ends, *value, output)?,
+            Op::ReduceMean { axes, keepdims } => {
+                reduce_mean_into(inputs[0], axes, *keepdims, output)?
+            }
+            // `output` already carries the planned dims; views copy storage
+            // byte-for-byte.
+            Op::Flatten | Op::Reshape | Op::Identity => {
+                copy_data_into(&self.name, inputs[0], output)?
+            }
         }
-    }
-}
-
-impl Layer for GlobalPoolLayer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn op_name(&self) -> &str {
-        "GlobalAveragePool"
-    }
-    fn implementation(&self) -> &str {
-        "direct"
-    }
-    fn run_into(
-        &self,
-        inputs: &[TensorRef<'_>],
-        output: TensorMut<'_>,
-        pool: &ThreadPool,
-    ) -> Result<(), EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        Ok(global_average_pool_into(inputs[0], output, pool)?)
-    }
-}
-
-/// Standalone batch-norm layer (used when BN folding is disabled or blocked).
-#[derive(Debug)]
-pub struct BatchNormLayer {
-    name: String,
-    bn: BatchNorm,
-}
-
-impl BatchNormLayer {
-    /// Creates a batch-norm layer from the four parameter tensors.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BatchNorm::new`] validation failures.
-    pub fn new(
-        name: &str,
-        scale: &Tensor,
-        shift: &Tensor,
-        mean: &Tensor,
-        var: &Tensor,
-        eps: f32,
-    ) -> Result<Self, EngineError> {
-        Ok(BatchNormLayer {
-            name: name.to_string(),
-            bn: BatchNorm::new(scale, shift, mean, var, eps)?,
-        })
-    }
-}
-
-impl Layer for BatchNormLayer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn op_name(&self) -> &str {
-        "BatchNorm"
-    }
-    fn implementation(&self) -> &str {
-        "affine"
-    }
-    fn run_into(
-        &self,
-        inputs: &[TensorRef<'_>],
-        output: TensorMut<'_>,
-        _pool: &ThreadPool,
-    ) -> Result<(), EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        Ok(self.bn.run_into(inputs[0], output)?)
-    }
-}
-
-/// Standalone activation layer.
-#[derive(Debug)]
-pub struct ActivationLayer {
-    name: String,
-    activation: Activation,
-    implementation: String,
-}
-
-impl ActivationLayer {
-    /// Creates an activation layer.
-    pub fn new(name: &str, activation: Activation) -> Self {
-        ActivationLayer {
-            name: name.to_string(),
-            activation,
-            implementation: format!("{activation:?}").to_lowercase(),
-        }
-    }
-}
-
-impl Layer for ActivationLayer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn op_name(&self) -> &str {
-        "Activation"
-    }
-    fn implementation(&self) -> &str {
-        &self.implementation
-    }
-    fn run_into(
-        &self,
-        inputs: &[TensorRef<'_>],
-        mut output: TensorMut<'_>,
-        _pool: &ThreadPool,
-    ) -> Result<(), EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        copy_data_into(&self.name, inputs[0], output.reborrow())?;
-        self.activation.apply_slice(output.as_mut_slice());
         Ok(())
-    }
-}
-
-/// Residual addition, optionally fused with an activation.
-#[derive(Debug)]
-pub struct AddLayer {
-    name: String,
-    activation: Option<Activation>,
-    implementation: String,
-}
-
-impl AddLayer {
-    /// Creates an addition layer.
-    pub fn new(name: &str, activation: Option<Activation>) -> Self {
-        AddLayer {
-            name: name.to_string(),
-            activation,
-            implementation: match activation {
-                Some(a) => format!("fused-{a:?}").to_lowercase(),
-                None => "elementwise".into(),
-            },
-        }
-    }
-}
-
-impl Layer for AddLayer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn op_name(&self) -> &str {
-        "Add"
-    }
-    fn implementation(&self) -> &str {
-        &self.implementation
-    }
-    fn run_into(
-        &self,
-        inputs: &[TensorRef<'_>],
-        output: TensorMut<'_>,
-        _pool: &ThreadPool,
-    ) -> Result<(), EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 2)?;
-        match self.activation {
-            Some(act) => Ok(add_activate_into(inputs[0], inputs[1], act, output)?),
-            None => Ok(binary_into(BinaryOp::Add, inputs[0], inputs[1], output)?),
-        }
-    }
-}
-
-/// Element-wise multiplication layer.
-#[derive(Debug)]
-pub struct MulLayer {
-    name: String,
-}
-
-impl MulLayer {
-    /// Creates a multiplication layer.
-    pub fn new(name: &str) -> Self {
-        MulLayer {
-            name: name.to_string(),
-        }
-    }
-}
-
-impl Layer for MulLayer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn op_name(&self) -> &str {
-        "Mul"
-    }
-    fn implementation(&self) -> &str {
-        "elementwise"
-    }
-    fn run_into(
-        &self,
-        inputs: &[TensorRef<'_>],
-        output: TensorMut<'_>,
-        _pool: &ThreadPool,
-    ) -> Result<(), EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 2)?;
-        Ok(binary_into(BinaryOp::Mul, inputs[0], inputs[1], output)?)
-    }
-}
-
-/// Channel concatenation layer.
-#[derive(Debug)]
-pub struct ConcatLayer {
-    name: String,
-    arity: usize,
-}
-
-impl ConcatLayer {
-    /// Creates a concat layer with a fixed arity.
-    pub fn new(name: &str, arity: usize) -> Self {
-        ConcatLayer {
-            name: name.to_string(),
-            arity,
-        }
-    }
-}
-
-impl Layer for ConcatLayer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn op_name(&self) -> &str {
-        "Concat"
-    }
-    fn implementation(&self) -> &str {
-        "memcpy"
-    }
-    fn run_into(
-        &self,
-        inputs: &[TensorRef<'_>],
-        output: TensorMut<'_>,
-        _pool: &ThreadPool,
-    ) -> Result<(), EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, self.arity)?;
-        Ok(concat_channels_into(inputs, output)?)
-    }
-}
-
-/// Softmax layer.
-#[derive(Debug)]
-pub struct SoftmaxLayer {
-    name: String,
-}
-
-impl SoftmaxLayer {
-    /// Creates a softmax layer.
-    pub fn new(name: &str) -> Self {
-        SoftmaxLayer {
-            name: name.to_string(),
-        }
-    }
-}
-
-impl Layer for SoftmaxLayer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn op_name(&self) -> &str {
-        "Softmax"
-    }
-    fn implementation(&self) -> &str {
-        "stable"
-    }
-    fn run_into(
-        &self,
-        inputs: &[TensorRef<'_>],
-        output: TensorMut<'_>,
-        _pool: &ThreadPool,
-    ) -> Result<(), EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        Ok(softmax_into(inputs[0], output)?)
-    }
-}
-
-/// Flatten to `[batch, rest]`.
-#[derive(Debug)]
-pub struct FlattenLayer {
-    name: String,
-}
-
-impl FlattenLayer {
-    /// Creates a flatten layer.
-    pub fn new(name: &str) -> Self {
-        FlattenLayer {
-            name: name.to_string(),
-        }
-    }
-}
-
-impl Layer for FlattenLayer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn op_name(&self) -> &str {
-        "Flatten"
-    }
-    fn implementation(&self) -> &str {
-        "view"
-    }
-    fn run_into(
-        &self,
-        inputs: &[TensorRef<'_>],
-        output: TensorMut<'_>,
-        _pool: &ThreadPool,
-    ) -> Result<(), EngineError> {
-        // `output` already carries the planned (flattened) dims; views copy
-        // storage byte-for-byte.
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        copy_data_into(&self.name, inputs[0], output)
-    }
-}
-
-/// Reshape to the planned output dims (resolved by shape inference at
-/// lowering time, per batch bucket).
-#[derive(Debug)]
-pub struct ReshapeLayer {
-    name: String,
-}
-
-impl ReshapeLayer {
-    /// Creates a reshape layer.
-    pub fn new(name: &str) -> Self {
-        ReshapeLayer {
-            name: name.to_string(),
-        }
-    }
-}
-
-impl Layer for ReshapeLayer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn op_name(&self) -> &str {
-        "Reshape"
-    }
-    fn implementation(&self) -> &str {
-        "view"
-    }
-    fn run_into(
-        &self,
-        inputs: &[TensorRef<'_>],
-        output: TensorMut<'_>,
-        _pool: &ThreadPool,
-    ) -> Result<(), EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        copy_data_into(&self.name, inputs[0], output)
-    }
-}
-
-/// Constant-padding layer (survives only when `pad-fold` cannot absorb it).
-#[derive(Debug)]
-pub struct PadLayer {
-    name: String,
-    begins: Vec<usize>,
-    ends: Vec<usize>,
-    value: f32,
-}
-
-impl PadLayer {
-    /// Creates a pad layer from ONNX-style `[begins..., ends...]` pads.
-    pub fn new(name: &str, begins: Vec<usize>, ends: Vec<usize>, value: f32) -> Self {
-        PadLayer {
-            name: name.to_string(),
-            begins,
-            ends,
-            value,
-        }
-    }
-}
-
-impl Layer for PadLayer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn op_name(&self) -> &str {
-        "Pad"
-    }
-    fn implementation(&self) -> &str {
-        "constant"
-    }
-    fn run_into(
-        &self,
-        inputs: &[TensorRef<'_>],
-        output: TensorMut<'_>,
-        _pool: &ThreadPool,
-    ) -> Result<(), EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        Ok(pad_constant_into(
-            inputs[0],
-            &self.begins,
-            &self.ends,
-            self.value,
-            output,
-        )?)
-    }
-}
-
-/// Axis-mean reduction layer (`ReduceMean`).
-#[derive(Debug)]
-pub struct ReduceMeanLayer {
-    name: String,
-    axes: Vec<usize>,
-    keepdims: bool,
-}
-
-impl ReduceMeanLayer {
-    /// Creates a reduce-mean layer over an input of `input_rank` dims;
-    /// empty `axes` means every dimension (ONNX's absent-axes rule).
-    pub fn new(name: &str, axes: Vec<usize>, keepdims: bool, input_rank: usize) -> Self {
-        let axes = if axes.is_empty() {
-            (0..input_rank).collect()
-        } else {
-            axes
-        };
-        ReduceMeanLayer {
-            name: name.to_string(),
-            axes,
-            keepdims,
-        }
-    }
-}
-
-impl Layer for ReduceMeanLayer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn op_name(&self) -> &str {
-        "ReduceMean"
-    }
-    fn implementation(&self) -> &str {
-        "scatter"
-    }
-    fn run_into(
-        &self,
-        inputs: &[TensorRef<'_>],
-        output: TensorMut<'_>,
-        _pool: &ThreadPool,
-    ) -> Result<(), EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        Ok(reduce_mean_into(
-            inputs[0],
-            &self.axes,
-            self.keepdims,
-            output,
-        )?)
-    }
-}
-
-/// Identity layer (survives only when simplification is disabled).
-#[derive(Debug)]
-pub struct IdentityLayer {
-    name: String,
-}
-
-impl IdentityLayer {
-    /// Creates an identity layer.
-    pub fn new(name: &str) -> Self {
-        IdentityLayer {
-            name: name.to_string(),
-        }
-    }
-}
-
-impl Layer for IdentityLayer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn op_name(&self) -> &str {
-        "Identity"
-    }
-    fn implementation(&self) -> &str {
-        "copy"
-    }
-    fn run_into(
-        &self,
-        inputs: &[TensorRef<'_>],
-        output: TensorMut<'_>,
-        _pool: &ThreadPool,
-    ) -> Result<(), EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        copy_data_into(&self.name, inputs[0], output)
     }
 }
 
@@ -782,7 +409,7 @@ mod tests {
 
     #[test]
     fn add_layer_fused_relu() {
-        let layer = AddLayer::new("a", Some(Activation::Relu));
+        let layer = OpLayer::new("a", Op::Add(Some(Activation::Relu)));
         let x = Tensor::from_vec(vec![-5.0, 1.0], &[2]).unwrap();
         let y = Tensor::from_vec(vec![1.0, 1.0], &[2]).unwrap();
         let out = run_layer(&layer, &[&x, &y], &[2]).unwrap();
@@ -792,7 +419,7 @@ mod tests {
 
     #[test]
     fn concat_layer_checks_arity() {
-        let layer = ConcatLayer::new("cat", 2);
+        let layer = OpLayer::new("cat", Op::Concat(2));
         let t = Tensor::ones(&[1, 1, 2, 2]);
         assert!(run_layer(&layer, &[&t], &[1, 2, 2, 2]).is_err());
         let out = run_layer(&layer, &[&t, &t], &[1, 2, 2, 2]).unwrap();
@@ -802,12 +429,12 @@ mod tests {
     #[test]
     fn view_layers_copy_storage_into_the_planned_dims() {
         let t = Tensor::from_fn(&[1, 2, 2, 2], |i| i as f32);
-        let flat = run_layer(&FlattenLayer::new("f"), &[&t], &[1, 8]).unwrap();
+        let flat = run_layer(&OpLayer::new("f", Op::Flatten), &[&t], &[1, 8]).unwrap();
         assert_eq!(flat.as_slice(), t.as_slice());
-        let rs = run_layer(&ReshapeLayer::new("r"), &[&t], &[2, 4]).unwrap();
+        let rs = run_layer(&OpLayer::new("r", Op::Reshape), &[&t], &[2, 4]).unwrap();
         assert_eq!(rs.as_slice(), t.as_slice());
-        assert!(run_layer(&ReshapeLayer::new("r"), &[&t], &[3, 3]).is_err());
-        let id = run_layer(&IdentityLayer::new("i"), &[&t], t.dims()).unwrap();
+        assert!(run_layer(&OpLayer::new("r", Op::Reshape), &[&t], &[3, 3]).is_err());
+        let id = run_layer(&OpLayer::new("i", Op::Identity), &[&t], t.dims()).unwrap();
         assert_eq!(id, t);
     }
 
@@ -829,10 +456,15 @@ mod tests {
     #[test]
     fn pool_layers_run() {
         let t = Tensor::from_fn(&[1, 1, 4, 4], |i| i as f32);
-        let p = PoolLayer::new("p", Pool2dParams::max(2, 2));
+        let p = OpLayer::new("p", Op::Pool(Pool2dParams::max(2, 2)));
         let out = run_layer(&p, &[&t], &[1, 1, 2, 2]).unwrap();
         assert_eq!(out.as_slice(), &[5.0, 7.0, 13.0, 15.0]);
-        let g = run_layer(&GlobalPoolLayer::new("g"), &[&t], &[1, 1, 1, 1]).unwrap();
+        let g = run_layer(
+            &OpLayer::new("g", Op::GlobalAveragePool),
+            &[&t],
+            &[1, 1, 1, 1],
+        )
+        .unwrap();
         assert_eq!(g.as_slice(), &[7.5]);
         // A mis-planned output extent is an error, not a silent resize.
         assert!(run_layer(&p, &[&t], &[1, 1, 3, 3]).is_err());
@@ -841,16 +473,34 @@ mod tests {
     #[test]
     fn pad_and_reduce_mean_write_in_place() {
         let t = Tensor::from_fn(&[1, 1, 2, 2], |i| i as f32 + 1.0);
-        let pad = PadLayer::new("p", vec![0, 0, 1, 1], vec![0, 0, 1, 1], 0.0);
+        let pad = OpLayer::new(
+            "p",
+            Op::Pad {
+                begins: vec![0, 0, 1, 1],
+                ends: vec![0, 0, 1, 1],
+                value: 0.0,
+            },
+        );
         let out = run_layer(&pad, &[&t], &[1, 1, 4, 4]).unwrap();
         assert_eq!(out.sum(), 10.0);
         assert_eq!(out.as_slice()[5], 1.0);
         assert!(run_layer(&pad, &[&t], &[1, 1, 3, 3]).is_err());
-        // Empty axes resolve to every dimension at construction.
-        let all = ReduceMeanLayer::new("m", Vec::new(), true, 4);
+        let all = OpLayer::new(
+            "m",
+            Op::ReduceMean {
+                axes: vec![0, 1, 2, 3],
+                keepdims: true,
+            },
+        );
         let mean = run_layer(&all, &[&t], &[1, 1, 1, 1]).unwrap();
         assert_eq!(mean.as_slice(), &[2.5]);
-        let spatial = ReduceMeanLayer::new("m", vec![3], false, 4);
+        let spatial = OpLayer::new(
+            "m",
+            Op::ReduceMean {
+                axes: vec![3],
+                keepdims: false,
+            },
+        );
         let rows = run_layer(&spatial, &[&t], &[1, 1, 2]).unwrap();
         assert_eq!(rows.as_slice(), &[1.5, 3.5]);
     }

@@ -8,7 +8,7 @@
 
 use orpheus_backends::{BackendError, VclConv, VnnlConv};
 use orpheus_ops::activation::Activation;
-use orpheus_ops::conv::Conv2dParams;
+use orpheus_ops::conv::{Conv2dParams, Epilogue};
 use orpheus_tensor::{Tensor, TensorMut, TensorRef};
 use orpheus_threads::ThreadPool;
 
@@ -21,41 +21,13 @@ impl From<BackendError> for EngineError {
     }
 }
 
-/// Bias + fused-activation epilogue the integration shims apply after the
-/// vendor kernel (vendor libraries compute the raw convolution only).
-#[derive(Debug, Default)]
-struct Epilogue {
-    bias: Option<Tensor>,
-    activation: Option<Activation>,
-}
-
-impl Epilogue {
-    fn apply(&self, mut output: TensorMut<'_>) {
-        let dims = output.dims();
-        let (n, co, plane) = (dims[0], dims[1], dims[2] * dims[3]);
-        let data = output.as_mut_slice();
-        if let Some(bias) = &self.bias {
-            let b = bias.as_slice();
-            for img in 0..n {
-                for c in 0..co {
-                    let bc = b[c];
-                    for x in &mut data[(img * co + c) * plane..][..plane] {
-                        *x += bc;
-                    }
-                }
-            }
-        }
-        if let Some(act) = self.activation {
-            act.apply_slice(data);
-        }
-    }
-}
-
 /// Convolution delegated to the VNNL (DNNL-style) vendor library.
 #[derive(Debug)]
 pub struct VnnlConvLayer {
     name: String,
     conv: VnnlConv,
+    /// Bias and fused activation, applied after the vendor kernel (vendor
+    /// libraries compute the raw convolution only).
     epilogue: Epilogue,
     flops: u64,
 }
@@ -78,7 +50,7 @@ impl VnnlConvLayer {
         Ok(VnnlConvLayer {
             name: name.to_string(),
             conv: VnnlConv::new(params, weight)?,
-            epilogue: Epilogue { bias, activation },
+            epilogue: Epilogue::new(bias, activation),
             flops,
         })
     }
@@ -124,6 +96,7 @@ impl Layer for VnnlConvLayer {
 pub struct VclConvLayer {
     name: String,
     conv: VclConv,
+    /// Bias and fused activation, applied after the vendor kernel.
     epilogue: Epilogue,
     out_dims: [usize; 4],
     flops: u64,
@@ -154,7 +127,7 @@ impl VclConvLayer {
         Ok(VclConvLayer {
             name: name.to_string(),
             conv: VclConv::new(params, weight, input_dims)?,
-            epilogue: Epilogue { bias, activation },
+            epilogue: Epilogue::new(bias, activation),
             out_dims,
             flops,
         })

@@ -13,17 +13,14 @@ use orpheus_gemm::GemmKernel;
 use orpheus_graph::{infer_shapes, infer_shapes_with_batch, Graph, Node, OpKind};
 use orpheus_ops::activation::Activation;
 use orpheus_ops::conv::{Conv2dParams, ConvAlgorithm};
+use orpheus_ops::norm::BatchNorm;
 use orpheus_ops::pool::{Pool2dParams, PoolMode};
 use orpheus_tensor::Tensor;
 
 use crate::engine::{Engine, VendorBackend};
 use crate::error::EngineError;
 use crate::layer::Layer;
-use crate::layers::native::{
-    ActivationLayer, AddLayer, BatchNormLayer, ConcatLayer, ConvLayer, DenseLayer, FlattenLayer,
-    GlobalPoolLayer, IdentityLayer, MulLayer, PadLayer, PoolLayer, ReduceMeanLayer, ReshapeLayer,
-    SoftmaxLayer,
-};
+use crate::layers::native::{ConvLayer, DenseLayer, Op, OpLayer};
 use crate::layers::third_party::{VclConvLayer, VnnlConvLayer};
 use crate::plan::plan_memory;
 use crate::selection::{supported_or_fallback, SelectionPolicy};
@@ -371,7 +368,7 @@ fn build_layer(
         node: node.name.clone(),
         reason,
     };
-    Ok(match &node.op {
+    let op = match &node.op {
         OpKind::Conv => {
             let weight = initializer(graph, node, 1)?.clone();
             let bias = optional_initializer(graph, node, 2).cloned();
@@ -413,7 +410,7 @@ fn build_layer(
                 }
                 algorithm
             };
-            Box::new(ConvLayer::new(
+            return Ok(Box::new(ConvLayer::new(
                 &node.name,
                 params,
                 weight,
@@ -421,7 +418,7 @@ fn build_layer(
                 algorithm,
                 fused_activation(node),
                 (h, w),
-            )?)
+            )?));
         }
         OpKind::Gemm => {
             let weight = initializer(graph, node, 1)?.clone();
@@ -429,13 +426,13 @@ fn build_layer(
             if node.attrs.int_or("transB", 1) != 1 {
                 return Err(err("only transB=1 Gemm supported".into()));
             }
-            Box::new(DenseLayer::new(
+            return Ok(Box::new(DenseLayer::new(
                 &node.name,
                 weight,
                 bias,
                 force_scalar_kernel(engine, engine.personality().dense_kernel()),
                 fused_activation(node),
-            )?)
+            )?));
         }
         OpKind::BatchNormalization => {
             let scale = initializer(graph, node, 1)?;
@@ -443,34 +440,22 @@ fn build_layer(
             let mean = initializer(graph, node, 3)?;
             let var = initializer(graph, node, 4)?;
             let eps = node.attrs.float_or("epsilon", 1e-5);
-            Box::new(BatchNormLayer::new(
-                &node.name, scale, shift, mean, var, eps,
-            )?)
+            Op::BatchNorm(BatchNorm::new(scale, shift, mean, var, eps)?)
         }
-        OpKind::Relu => Box::new(ActivationLayer::new(&node.name, Activation::Relu)),
-        OpKind::LeakyRelu => Box::new(ActivationLayer::new(
-            &node.name,
-            Activation::LeakyRelu {
-                alpha: node.attrs.float_or("alpha", 0.01),
-            },
-        )),
-        OpKind::Clip => Box::new(ActivationLayer::new(
-            &node.name,
-            Activation::Clip {
-                lo: node.attrs.float_or("min", f32::NEG_INFINITY),
-                hi: node.attrs.float_or("max", f32::INFINITY),
-            },
-        )),
-        OpKind::Sigmoid => Box::new(ActivationLayer::new(&node.name, Activation::Sigmoid)),
-        OpKind::Tanh => Box::new(ActivationLayer::new(&node.name, Activation::Tanh)),
+        OpKind::Relu => Op::Activation(Activation::Relu),
+        OpKind::LeakyRelu => Op::Activation(Activation::LeakyRelu {
+            alpha: node.attrs.float_or("alpha", 0.01),
+        }),
+        OpKind::Clip => Op::Activation(Activation::Clip {
+            lo: node.attrs.float_or("min", f32::NEG_INFINITY),
+            hi: node.attrs.float_or("max", f32::INFINITY),
+        }),
+        OpKind::Sigmoid => Op::Activation(Activation::Sigmoid),
+        OpKind::Tanh => Op::Activation(Activation::Tanh),
         OpKind::MaxPool | OpKind::AveragePool => {
             let kernel = node.attrs.ints_or("kernel_shape", &[1, 1]);
             let strides = node.attrs.ints_or("strides", &kernel);
             let pads = node.attrs.ints_or("pads", &[0, 0, 0, 0]);
-            let (pt, pl) = (
-                pads.first().copied().unwrap_or(0),
-                pads.get(1).copied().unwrap_or(0),
-            );
             let mode = if node.op == OpKind::MaxPool {
                 PoolMode::Max
             } else {
@@ -478,37 +463,37 @@ fn build_layer(
                     count_include_pad: node.attrs.int_or("count_include_pad", 0) != 0,
                 }
             };
-            let params = Pool2dParams {
+            Op::Pool(Pool2dParams {
                 mode,
                 kernel_h: kernel[0],
                 kernel_w: kernel[1],
                 stride_h: strides[0],
                 stride_w: strides[1],
-                pad_h: pt,
-                pad_w: pl,
-            };
-            Box::new(PoolLayer::new(&node.name, params))
+                pad_h: pads.first().copied().unwrap_or(0),
+                pad_w: pads.get(1).copied().unwrap_or(0),
+            })
         }
-        OpKind::GlobalAveragePool => Box::new(GlobalPoolLayer::new(&node.name)),
-        OpKind::Add => {
+        OpKind::GlobalAveragePool => Op::GlobalAveragePool,
+        OpKind::Add | OpKind::Mul => {
             if activation_inputs(graph, node).len() != 2 {
-                return Err(err("Add with constant operands is not supported".into()));
+                return Err(err(format!(
+                    "{} with constant operands is not supported",
+                    node.op
+                )));
             }
-            Box::new(AddLayer::new(&node.name, fused_activation(node)))
-        }
-        OpKind::Mul => {
-            if activation_inputs(graph, node).len() != 2 {
-                return Err(err("Mul with constant operands is not supported".into()));
+            if node.op == OpKind::Add {
+                Op::Add(fused_activation(node))
+            } else {
+                Op::Mul
             }
-            Box::new(MulLayer::new(&node.name))
         }
         OpKind::Concat => {
             if node.attrs.int_or("axis", 1) != 1 {
                 return Err(err("only channel-axis Concat is supported".into()));
             }
-            Box::new(ConcatLayer::new(&node.name, node.inputs.len()))
+            Op::Concat(node.inputs.len())
         }
-        OpKind::Softmax => Box::new(SoftmaxLayer::new(&node.name)),
+        OpKind::Softmax => Op::Softmax,
         OpKind::Pad => {
             let pads = node.attrs.ints_or("pads", &[]);
             if !pads.len().is_multiple_of(2) {
@@ -517,33 +502,40 @@ fn build_layer(
                     pads.len()
                 )));
             }
-            let rank = pads.len() / 2;
-            Box::new(PadLayer::new(
-                &node.name,
-                pads[..rank].to_vec(),
-                pads[rank..].to_vec(),
-                node.attrs.float_or("value", 0.0),
-            ))
+            let (begins, ends) = pads.split_at(pads.len() / 2);
+            Op::Pad {
+                begins: begins.to_vec(),
+                ends: ends.to_vec(),
+                value: node.attrs.float_or("value", 0.0),
+            }
         }
-        OpKind::ReduceMean => Box::new(ReduceMeanLayer::new(
-            &node.name,
-            node.attrs.ints_or("axes", &[]),
-            node.attrs.int_or("keepdims", 1) != 0,
-            shapes
+        OpKind::ReduceMean => {
+            let rank = shapes
                 .get(&node.inputs[0])
                 .map(Vec::len)
-                .ok_or_else(|| err("no inferred input shape for ReduceMean".into()))?,
-        )),
-        OpKind::Flatten => Box::new(FlattenLayer::new(&node.name)),
-        OpKind::Reshape => Box::new(ReshapeLayer::new(&node.name)),
-        OpKind::Identity | OpKind::Dropout => Box::new(IdentityLayer::new(&node.name)),
+                .ok_or_else(|| err("no inferred input shape for ReduceMean".into()))?;
+            // ONNX's absent-axes rule: reduce every dimension.
+            let axes = node.attrs.ints_or("axes", &[]);
+            Op::ReduceMean {
+                axes: if axes.is_empty() {
+                    (0..rank).collect()
+                } else {
+                    axes
+                },
+                keepdims: node.attrs.int_or("keepdims", 1) != 0,
+            }
+        }
+        OpKind::Flatten => Op::Flatten,
+        OpKind::Reshape => Op::Reshape,
+        OpKind::Identity | OpKind::Dropout => Op::Identity,
         OpKind::Custom(op) => {
             return Err(err(format!(
                 "custom op {op:?} has no registered implementation; \
                  wrap a vendor backend (see orpheus::layers::third_party)"
             )))
         }
-    })
+    };
+    Ok(Box::new(OpLayer::new(&node.name, op)))
 }
 
 /// Builds conv params from node attributes + weight dims.
@@ -623,5 +615,156 @@ fn force_scalar_kernel(engine: &Engine, kernel: GemmKernel) -> GemmKernel {
         GemmKernel::PackedScalar
     } else {
         kernel
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use orpheus_graph::{AttrValue, Attributes, ValueInfo};
+    use orpheus_tensor::TensorRef;
+
+    /// Every stateless op kind, lowered from a one-node graph, reports the
+    /// `op_name`/`implementation` strings profiles and `plan_summary`
+    /// print, and writes every element of a NaN-filled output.
+    #[test]
+    fn stateless_ops_keep_their_strings_and_write_every_element() {
+        let ints = |v: &[i64]| AttrValue::Ints(v.to_vec());
+        let no_attrs = Attributes::new;
+        let cases: Vec<(OpKind, Attributes, usize, &str, &str)> = vec![
+            (
+                OpKind::MaxPool,
+                no_attrs()
+                    .with("kernel_shape", ints(&[2, 2]))
+                    .with("strides", ints(&[2, 2])),
+                1,
+                "Pool",
+                "max",
+            ),
+            (
+                OpKind::AveragePool,
+                no_attrs()
+                    .with("kernel_shape", ints(&[3, 3]))
+                    .with("strides", ints(&[1, 1]))
+                    .with("pads", ints(&[1, 1, 1, 1]))
+                    .with("count_include_pad", AttrValue::Int(1)),
+                1,
+                "Pool",
+                "average { count_include_pad: true }",
+            ),
+            (
+                OpKind::GlobalAveragePool,
+                no_attrs(),
+                1,
+                "GlobalAveragePool",
+                "direct",
+            ),
+            (
+                OpKind::BatchNormalization,
+                no_attrs(),
+                1,
+                "BatchNorm",
+                "affine",
+            ),
+            (OpKind::Relu, no_attrs(), 1, "Activation", "relu"),
+            (
+                OpKind::LeakyRelu,
+                no_attrs().with("alpha", AttrValue::Float(0.1)),
+                1,
+                "Activation",
+                "leakyrelu { alpha: 0.1 }",
+            ),
+            (
+                OpKind::Clip,
+                no_attrs()
+                    .with("min", AttrValue::Float(0.0))
+                    .with("max", AttrValue::Float(6.0)),
+                1,
+                "Activation",
+                "clip { lo: 0.0, hi: 6.0 }",
+            ),
+            (OpKind::Sigmoid, no_attrs(), 1, "Activation", "sigmoid"),
+            (OpKind::Tanh, no_attrs(), 1, "Activation", "tanh"),
+            (OpKind::Add, no_attrs(), 2, "Add", "elementwise"),
+            (
+                OpKind::Add,
+                no_attrs().with("fused_activation", AttrValue::Str("relu".into())),
+                2,
+                "Add",
+                "fused-relu",
+            ),
+            (OpKind::Mul, no_attrs(), 2, "Mul", "elementwise"),
+            (OpKind::Concat, no_attrs(), 3, "Concat", "memcpy"),
+            (OpKind::Softmax, no_attrs(), 1, "Softmax", "stable"),
+            (OpKind::Flatten, no_attrs(), 1, "Flatten", "view"),
+            (
+                OpKind::Reshape,
+                no_attrs().with("shape", ints(&[2, 16])),
+                1,
+                "Reshape",
+                "view",
+            ),
+            (
+                OpKind::Pad,
+                no_attrs()
+                    .with("pads", ints(&[0, 0, 1, 1, 0, 0, 1, 1]))
+                    .with("value", AttrValue::Float(0.5)),
+                1,
+                "Pad",
+                "constant",
+            ),
+            (
+                OpKind::ReduceMean,
+                no_attrs()
+                    .with("axes", ints(&[2, 3]))
+                    .with("keepdims", AttrValue::Int(0)),
+                1,
+                "ReduceMean",
+                "scatter",
+            ),
+            // ONNX's absent-axes rule: no `axes` reduces every dimension, so
+            // the output is the planned [1, 1, 1, 1].
+            (OpKind::ReduceMean, no_attrs(), 1, "ReduceMean", "scatter"),
+            (OpKind::Identity, no_attrs(), 1, "Identity", "copy"),
+            (OpKind::Dropout, no_attrs(), 1, "Identity", "copy"),
+        ];
+        let engine = Engine::builder().threads(1).build().unwrap();
+        let dims = [1, 2, 4, 4];
+        for (kind, attrs, arity, op_name, implementation) in cases {
+            let mut graph = Graph::new("one-op");
+            let names: Vec<String> = (0..arity).map(|i| format!("x{i}")).collect();
+            for name in &names {
+                graph.add_input(ValueInfo::new(name, &dims));
+            }
+            let mut node_inputs: Vec<&str> = names.iter().map(String::as_str).collect();
+            if kind == OpKind::BatchNormalization {
+                for (name, value) in [("scale", 1.5), ("shift", 0.25), ("mean", 0.1), ("var", 2.0)]
+                {
+                    graph.add_initializer(name, Tensor::full(&[2], value));
+                    node_inputs.push(name);
+                }
+            }
+            let tag = format!("{kind} {implementation:?}");
+            let node = Node::new("op", kind, &node_inputs, &["y"]).with_attrs(attrs);
+            graph.add_node(node.clone());
+            graph.add_output("y");
+            let shapes = infer_shapes(&graph).unwrap();
+            let layer = build_layer(&engine, &graph, &node, &shapes).unwrap();
+            assert_eq!(layer.op_name(), op_name, "{tag}");
+            assert_eq!(layer.implementation(), implementation, "{tag}");
+
+            let inputs: Vec<Tensor> = (0..arity)
+                .map(|k| Tensor::from_fn(&dims, |i| ((i + 7 * k) as f32 * 0.37).sin()))
+                .collect();
+            let views: Vec<TensorRef<'_>> = inputs.iter().map(Tensor::view).collect();
+            let mut out = Tensor::full(&shapes["y"], f32::NAN);
+            layer
+                .run_into(&views, out.view_mut(), engine.pool())
+                .unwrap();
+            assert!(
+                out.as_slice().iter().all(|x| x.is_finite()),
+                "{tag}: {out:?}"
+            );
+        }
     }
 }

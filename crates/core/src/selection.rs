@@ -108,6 +108,7 @@ fn auto_tune(
     let input = Tensor::full(&[1, params.in_channels, h, w], 0.5);
     let wd = params.weight_dims();
     let weight = Tensor::full(&wd, 0.01);
+    let mut output = Tensor::zeros(&[1, params.out_channels, params.out_h(h), params.out_w(w)]);
     let mut best: Option<(ConvAlgorithm, f64)> = None;
     for algo in candidates {
         let mut candidate_span = if orpheus_observe::enabled() {
@@ -122,10 +123,10 @@ fn auto_tune(
             continue;
         };
         // Warm-up (also allocates scratch paths).
-        let Ok(mut output) = conv.run(&input, pool) else {
+        if conv.run_into(&input, &mut output, pool).is_err() {
             orpheus_observe::counter_add("selection.candidate_error", 1);
             continue;
-        };
+        }
         let start = Instant::now();
         for _ in 0..trials {
             let _ = conv.run_into(&input, &mut output, pool);

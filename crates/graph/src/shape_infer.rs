@@ -288,7 +288,11 @@ fn infer_node(
         }
         OpKind::ReduceMean => {
             let x = input_shape(node, shapes, 0)?;
-            let axes = node.attrs.ints_or("axes", &[]);
+            // ONNX's absent-axes rule: reduce every dimension.
+            let mut axes = node.attrs.ints_or("axes", &[]);
+            if axes.is_empty() {
+                axes = (0..x.len()).collect();
+            }
             let keepdims = node.attrs.int_or("keepdims", 1) != 0;
             for &a in &axes {
                 if a >= x.len() {
@@ -619,5 +623,21 @@ mod tests {
         g.add_output("c");
         let shapes = infer_shapes(&g).unwrap();
         assert_eq!(shapes["c"], vec![2, 3, 4, 4]);
+    }
+
+    #[test]
+    fn reduce_mean_without_axes_reduces_every_dimension() {
+        let mut g = Graph::new("t");
+        g.add_input(ValueInfo::new("x", &[2, 3, 4, 4]));
+        g.add_node(Node::new("m", OpKind::ReduceMean, &["x"], &["kept"]));
+        g.add_node(
+            Node::new("n", OpKind::ReduceMean, &["x"], &["dropped"])
+                .with_attrs(Attributes::new().with("keepdims", AttrValue::Int(0))),
+        );
+        g.add_output("kept");
+        g.add_output("dropped");
+        let shapes = infer_shapes(&g).unwrap();
+        assert_eq!(shapes["kept"], vec![1, 1, 1, 1]);
+        assert_eq!(shapes["dropped"], Vec::<usize>::new());
     }
 }

@@ -1,6 +1,8 @@
 //! Element-wise activation functions.
 
-use orpheus_tensor::{Tensor, TensorMut, TensorRef};
+use orpheus_tensor::{TensorMut, TensorRef};
+
+use crate::error::{expect_dims, OpError};
 
 /// An element-wise activation.
 ///
@@ -84,39 +86,46 @@ impl Activation {
         }
     }
 
-    /// Applies the activation to a tensor, producing a new tensor.
-    pub fn run(&self, input: &Tensor) -> Tensor {
-        let mut out = input.clone();
-        self.apply_slice(out.as_mut_slice());
-        out
-    }
-
-    /// Applies the activation into a preallocated output tensor of the
-    /// input's dims.
+    /// Applies the activation into a preallocated output of the input's
+    /// dims.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the element counts differ (the copy is length-checked).
-    pub fn run_into(&self, input: TensorRef<'_>, mut output: TensorMut<'_>) {
+    /// Returns [`OpError::Shape`] if `output` does not have the input's dims.
+    pub fn run_into(&self, input: TensorRef<'_>, mut output: TensorMut<'_>) -> Result<(), OpError> {
+        expect_dims(output.dims(), input.dims())?;
         output.as_mut_slice().copy_from_slice(input.as_slice());
         self.apply_slice(output.as_mut_slice());
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_op;
+    use orpheus_tensor::Tensor;
+
+    fn activate(act: Activation, t: &Tensor) -> Tensor {
+        run_op(t.dims(), |out| act.run_into(t.view(), out)).unwrap()
+    }
 
     #[test]
     fn relu_clamps_negatives() {
         let t = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]).unwrap();
-        assert_eq!(Activation::Relu.run(&t).as_slice(), &[0.0, 0.0, 2.0]);
+        assert_eq!(activate(Activation::Relu, &t).as_slice(), &[0.0, 0.0, 2.0]);
     }
 
     #[test]
     fn relu6_clamps_both_sides() {
         let t = Tensor::from_vec(vec![-1.0, 3.0, 9.0], &[3]).unwrap();
-        assert_eq!(Activation::Relu6.run(&t).as_slice(), &[0.0, 3.0, 6.0]);
+        assert_eq!(activate(Activation::Relu6, &t).as_slice(), &[0.0, 3.0, 6.0]);
+    }
+
+    #[test]
+    fn run_into_rejects_mis_shaped_output() {
+        let t = Tensor::ones(&[2, 2]);
+        assert!(run_op(&[4], |out| Activation::Relu.run_into(t.view(), out)).is_err());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Channel concatenation (Inception branch joins).
 
-use orpheus_tensor::{ShapeError, Tensor, TensorMut, TensorRef};
+use orpheus_tensor::{ShapeError, TensorMut, TensorRef};
 
 use crate::error::{expect_dims, expect_rank, OpError};
 
-/// Concatenates NCHW tensors along the channel axis.
+/// Concatenates NCHW tensors along the channel axis into a preallocated
+/// output.
 ///
 /// All inputs must share batch and spatial dims. This is the join at the end
 /// of every Inception module.
@@ -12,21 +13,8 @@ use crate::error::{expect_dims, expect_rank, OpError};
 /// # Errors
 ///
 /// Returns [`OpError::InvalidParams`] for an empty input list and
-/// [`OpError::Shape`] for rank or dimension mismatches.
-pub fn concat_channels(inputs: &[&Tensor]) -> Result<Tensor, OpError> {
-    let views: Vec<TensorRef<'_>> = inputs.iter().map(|t| t.view()).collect();
-    let (n, total_c, h, w) = concat_dims(&views)?;
-    let mut out = Tensor::zeros(&[n, total_c, h, w]);
-    concat_channels_into(&views, out.view_mut())?;
-    Ok(out)
-}
-
-/// [`concat_channels`] writing into a preallocated output tensor.
-///
-/// # Errors
-///
-/// Same as [`concat_channels`], plus [`OpError::Shape`] if `output` does not
-/// have the concatenated dims.
+/// [`OpError::Shape`] for rank or dimension mismatches, or if `output` does
+/// not have the concatenated dims.
 pub fn concat_channels_into(
     inputs: &[TensorRef<'_>],
     mut output: TensorMut<'_>,
@@ -78,12 +66,22 @@ fn concat_dims(inputs: &[TensorRef<'_>]) -> Result<(usize, usize, usize, usize),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_op;
+    use orpheus_tensor::Tensor;
+
+    /// Concatenates into an output of the concatenated dims (a placeholder
+    /// when the inputs have none, so `_into` itself rejects them).
+    fn run_concat(inputs: &[&Tensor]) -> Result<Tensor, OpError> {
+        let views: Vec<TensorRef<'_>> = inputs.iter().map(|t| t.view()).collect();
+        let dims = concat_dims(&views).map_or(vec![0], |(n, c, h, w)| vec![n, c, h, w]);
+        run_op(&dims, |out| concat_channels_into(&views, out))
+    }
 
     #[test]
     fn concat_two_tensors() {
         let a = Tensor::full(&[1, 1, 2, 2], 1.0);
         let b = Tensor::full(&[1, 2, 2, 2], 2.0);
-        let out = concat_channels(&[&a, &b]).unwrap();
+        let out = run_concat(&[&a, &b]).unwrap();
         assert_eq!(out.dims(), &[1, 3, 2, 2]);
         assert_eq!(out.plane(0, 0).unwrap(), &[1.0; 4]);
         assert_eq!(out.plane(0, 1).unwrap(), &[2.0; 4]);
@@ -93,14 +91,14 @@ mod tests {
     #[test]
     fn single_input_is_identity() {
         let a = Tensor::from_fn(&[2, 3, 2, 2], |i| i as f32);
-        assert_eq!(concat_channels(&[&a]).unwrap(), a);
+        assert_eq!(run_concat(&[&a]).unwrap(), a);
     }
 
     #[test]
     fn batched_interleaving_is_per_image() {
         let a = Tensor::from_vec(vec![1.0, 2.0], &[2, 1, 1, 1]).unwrap();
         let b = Tensor::from_vec(vec![10.0, 20.0], &[2, 1, 1, 1]).unwrap();
-        let out = concat_channels(&[&a, &b]).unwrap();
+        let out = run_concat(&[&a, &b]).unwrap();
         assert_eq!(out.as_slice(), &[1.0, 10.0, 2.0, 20.0]);
     }
 
@@ -108,21 +106,27 @@ mod tests {
     fn rejects_spatial_mismatch() {
         let a = Tensor::zeros(&[1, 1, 2, 2]);
         let b = Tensor::zeros(&[1, 1, 3, 3]);
-        assert!(concat_channels(&[&a, &b]).is_err());
+        assert!(run_concat(&[&a, &b]).is_err());
     }
 
     #[test]
     fn rejects_batch_mismatch() {
         let a = Tensor::zeros(&[1, 1, 2, 2]);
         let b = Tensor::zeros(&[2, 1, 2, 2]);
-        assert!(concat_channels(&[&a, &b]).is_err());
+        assert!(run_concat(&[&a, &b]).is_err());
     }
 
     #[test]
     fn rejects_empty_and_low_rank() {
-        assert!(concat_channels(&[]).is_err());
+        assert!(run_concat(&[]).is_err());
         let a = Tensor::zeros(&[4]);
-        assert!(concat_channels(&[&a]).is_err());
+        assert!(run_concat(&[&a]).is_err());
+    }
+
+    #[test]
+    fn into_rejects_mis_sized_output() {
+        let a = Tensor::ones(&[1, 1, 2, 2]);
+        assert!(run_op(&[1, 2, 2, 2], |out| concat_channels_into(&[a.view()], out)).is_err());
     }
 
     #[test]
@@ -132,7 +136,7 @@ mod tests {
             .map(|&c| Tensor::full(&[1, c, 4, 4], c as f32))
             .collect();
         let refs: Vec<&Tensor> = parts.iter().collect();
-        let out = concat_channels(&refs).unwrap();
+        let out = run_concat(&refs).unwrap();
         assert_eq!(out.dims(), &[1, 17, 4, 4]);
         assert_eq!(out.plane(0, 3).unwrap(), &[5.0; 16]);
         assert_eq!(out.plane(0, 16).unwrap(), &[2.0; 16]);

@@ -169,7 +169,7 @@ fn split_phases(
 mod tests {
     use super::*;
     use crate::activation::Activation;
-    use crate::conv::{Conv2d, ConvAlgorithm};
+    use crate::conv::{run_conv, Conv2d, ConvAlgorithm};
     use orpheus_tensor::allclose;
 
     fn pseudo(n: usize, seed: u64) -> Vec<f32> {
@@ -208,7 +208,7 @@ mod tests {
             if let Some(act) = activation {
                 conv = conv.with_activation(act);
             }
-            conv.run(&input, &pool).unwrap()
+            run_conv(&conv, &input, &pool).unwrap()
         };
         let want = run(ConvAlgorithm::Direct);
         let got = run(ConvAlgorithm::DepthwiseDirect);
@@ -327,7 +327,7 @@ mod tests {
             .unwrap()
             .with_activation(Activation::Relu);
         let pool = ThreadPool::single();
-        let batched = conv.run(&input, &pool).unwrap();
+        let batched = run_conv(&conv, &input, &pool).unwrap();
         let image_len = input.len() / 3;
         let out_len = batched.len() / 3;
         for img in 0..3 {
@@ -336,7 +336,7 @@ mod tests {
                 &[1, 4, 9, 11],
             )
             .unwrap();
-            let got = conv.run(&one, &pool).unwrap();
+            let got = run_conv(&conv, &one, &pool).unwrap();
             assert_eq!(
                 got.as_slice(),
                 &batched.as_slice()[img * out_len..][..out_len]
@@ -350,8 +350,8 @@ mod tests {
         let input = Tensor::from_vec(pseudo(2 * 8 * 6 * 6, 11), &[2, 8, 6, 6]).unwrap();
         let weight = Tensor::from_vec(pseudo(8 * 9, 12), &[8, 1, 3, 3]).unwrap();
         let conv = Conv2d::new(params, weight, None, ConvAlgorithm::DepthwiseDirect).unwrap();
-        let a = conv.run(&input, &ThreadPool::single()).unwrap();
-        let b = conv.run(&input, &ThreadPool::new(3).unwrap()).unwrap();
+        let a = run_conv(&conv, &input, &ThreadPool::single()).unwrap();
+        let b = run_conv(&conv, &input, &ThreadPool::new(3).unwrap()).unwrap();
         assert_eq!(a, b);
     }
 }

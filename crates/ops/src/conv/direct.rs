@@ -80,13 +80,15 @@ impl ConvKernel for Direct {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::{Conv2d, ConvAlgorithm};
+    use crate::conv::{run_conv, Conv2d, ConvAlgorithm};
 
     fn run_direct(params: Conv2dParams, input: &Tensor, weight: Tensor) -> Tensor {
-        Conv2d::new(params, weight, None, ConvAlgorithm::Direct)
-            .unwrap()
-            .run(input, &ThreadPool::single())
-            .unwrap()
+        run_conv(
+            &Conv2d::new(params, weight, None, ConvAlgorithm::Direct).unwrap(),
+            input,
+            &ThreadPool::single(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -163,8 +165,8 @@ mod tests {
         let input = Tensor::from_fn(&[2, 3, 8, 8], |i| (i % 17) as f32 * 0.25);
         let weight = Tensor::from_fn(&[4, 3, 3, 3], |i| (i % 5) as f32 - 2.0);
         let conv = Conv2d::new(p, weight, None, ConvAlgorithm::Direct).unwrap();
-        let a = conv.run(&input, &ThreadPool::single()).unwrap();
-        let b = conv.run(&input, &ThreadPool::new(4).unwrap()).unwrap();
+        let a = run_conv(&conv, &input, &ThreadPool::single()).unwrap();
+        let b = run_conv(&conv, &input, &ThreadPool::new(4).unwrap()).unwrap();
         assert_eq!(a, b);
     }
 }

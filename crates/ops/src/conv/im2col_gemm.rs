@@ -170,7 +170,7 @@ impl ConvKernel for Gemm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::{Conv2d, ConvAlgorithm};
+    use crate::conv::{run_conv, Conv2d, ConvAlgorithm};
     use orpheus_tensor::allclose;
 
     fn pseudo(n: usize, seed: u64) -> Vec<f32> {
@@ -187,14 +187,18 @@ mod tests {
         let wd = params.weight_dims();
         let weight = Tensor::from_vec(pseudo(wd.iter().product(), 2), &wd).unwrap();
         let pool = ThreadPool::single();
-        let direct = Conv2d::new(params, weight.clone(), None, ConvAlgorithm::Direct)
-            .unwrap()
-            .run(&input, &pool)
-            .unwrap();
-        let gemm = Conv2d::new(params, weight, None, ConvAlgorithm::Im2colGemm(kernel))
-            .unwrap()
-            .run(&input, &pool)
-            .unwrap();
+        let direct = run_conv(
+            &Conv2d::new(params, weight.clone(), None, ConvAlgorithm::Direct).unwrap(),
+            &input,
+            &pool,
+        )
+        .unwrap();
+        let gemm = run_conv(
+            &Conv2d::new(params, weight, None, ConvAlgorithm::Im2colGemm(kernel)).unwrap(),
+            &input,
+            &pool,
+        )
+        .unwrap();
         let report = allclose(&gemm, &direct, 1e-4, 1e-5);
         assert!(report.ok, "mismatch: {report:?}");
     }
@@ -301,7 +305,7 @@ mod tests {
         .unwrap();
         let pool = ThreadPool::single();
         let batch = Tensor::from_vec(pseudo(4 * 3 * 8 * 8, 5), &[4, 3, 8, 8]).unwrap();
-        let batched = conv.run(&batch, &pool).unwrap();
+        let batched = run_conv(&conv, &batch, &pool).unwrap();
         let image = batch.len() / 4;
         let out_image = batched.len() / 4;
         for img in 0..4 {
@@ -310,7 +314,7 @@ mod tests {
                 &[1, 3, 8, 8],
             )
             .unwrap();
-            let single = conv.run(&one, &pool).unwrap();
+            let single = run_conv(&conv, &one, &pool).unwrap();
             assert_eq!(
                 single.as_slice(),
                 &batched.as_slice()[img * out_image..(img + 1) * out_image],
@@ -367,16 +371,16 @@ mod tests {
                 for batch in 1..=3 {
                     let dims = [batch, params.in_channels, h, w];
                     let input = Tensor::from_vec(pseudo(dims.iter().product(), 13), &dims).unwrap();
-                    let want = direct.run(&input, &ThreadPool::single()).unwrap();
+                    let want = run_conv(&direct, &input, &ThreadPool::single()).unwrap();
                     for threads in [1, 3] {
                         let pool = ThreadPool::new(threads).unwrap();
-                        let got = implicit.run(&input, &pool).unwrap();
+                        let got = run_conv(&implicit, &input, &pool).unwrap();
                         let report = allclose(&got, &want, 1e-5, 1e-6);
                         assert!(
                             report.ok,
                             "{params:?} batch {batch} threads {threads}: {report:?}"
                         );
-                        let eager = eager.run(&input, &pool).unwrap();
+                        let eager = run_conv(&eager, &input, &pool).unwrap();
                         assert_eq!(
                             got.as_slice(),
                             eager.as_slice(),

@@ -319,18 +319,26 @@ trait ConvKernel: fmt::Debug + Send + Sync {
     }
 }
 
-/// What follows the convolution sum: a per-channel bias, then an
-/// activation.
+/// What follows a convolution sum: a per-channel bias, then an activation,
+/// per element. Kernels that do not fuse it, and the vendor-backend layers
+/// (whose libraries compute the raw convolution only), apply it as a second
+/// pass over the output.
 #[derive(Debug)]
-struct Epilogue {
+pub struct Epilogue {
     bias: Option<Tensor>,
     activation: Option<Activation>,
 }
 
 impl Epilogue {
-    /// Applies bias and activation in one pass over the output, one channel
-    /// plane at a time.
-    fn apply(&self, mut output: TensorMut<'_>) {
+    /// An epilogue adding `bias` (one value per output channel), then
+    /// applying `activation`.
+    pub fn new(bias: Option<Tensor>, activation: Option<Activation>) -> Self {
+        Epilogue { bias, activation }
+    }
+
+    /// Applies bias and activation in one pass over an NCHW output, one
+    /// channel plane at a time.
+    pub fn apply(&self, mut output: TensorMut<'_>) {
         let dims = output.dims();
         let (co, plane) = (dims[1], dims[2] * dims[3]);
         if plane == 0 || (self.bias.is_none() && self.activation.is_none()) {
@@ -354,8 +362,8 @@ impl Epilogue {
 /// A ready-to-run convolution layer: parameters, weights, bias, a selected
 /// algorithm, and that algorithm's state prepared from the weights.
 ///
-/// Constructing the layer performs all weight preprocessing, so `run` timing
-/// reflects steady-state inference — the quantity the paper measures.
+/// Constructing the layer performs all weight preprocessing, so `run_into`
+/// timing reflects steady-state inference — the quantity the paper measures.
 #[derive(Debug)]
 pub struct Conv2d {
     params: Conv2dParams,
@@ -394,10 +402,7 @@ impl Conv2d {
             kernel: algorithm.prepare(&params, &weight),
             params,
             weight,
-            epilogue: Epilogue {
-                bias,
-                activation: None,
-            },
+            epilogue: Epilogue::new(bias, None),
             algorithm,
         })
     }
@@ -450,24 +455,15 @@ impl Conv2d {
         ])
     }
 
-    /// Runs the convolution, allocating the output.
+    /// Runs the convolution into a pre-allocated output of
+    /// [`Conv2d::output_dims`]: a [`Tensor`] or a view of one, either way
+    /// written whole and never read.
     ///
     /// # Errors
     ///
-    /// See [`Conv2d::output_dims`].
-    pub fn run(&self, input: &Tensor, pool: &ThreadPool) -> Result<Tensor, OpError> {
-        let out_dims = self.output_dims(input.dims())?;
-        let mut output = Tensor::zeros(&out_dims);
-        self.run_into(input, &mut output, pool)?;
-        Ok(output)
-    }
-
-    /// Runs the convolution into a pre-allocated output: a [`Tensor`] or a
-    /// view of one, either way written whole and never read.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OpError::Shape`] if `output` does not have the expected dims.
+    /// Returns [`OpError::Shape`] if the input is not rank 4 with
+    /// `params.in_channels` channels, or `output` does not have the expected
+    /// dims.
     pub fn run_into<'i, 'o>(
         &self,
         input: impl Into<TensorRef<'i>>,
@@ -490,6 +486,20 @@ impl Conv2d {
         }
         Ok(())
     }
+}
+
+/// Test support: runs `conv` into a fresh zeroed output of its output dims
+/// (`[0]` for an input it has none for, so `run_into` itself rejects it).
+#[cfg(test)]
+pub(crate) fn run_conv(
+    conv: &Conv2d,
+    input: &Tensor,
+    pool: &ThreadPool,
+) -> Result<Tensor, OpError> {
+    let dims = conv
+        .output_dims(input.dims())
+        .map_or(vec![0], |d| d.to_vec());
+    crate::run_op(&dims, |out| conv.run_into(input, out, pool))
 }
 
 #[cfg(test)]
@@ -576,7 +586,7 @@ mod tests {
         let w = Tensor::zeros(&[8, 3, 3, 3]);
         let conv = Conv2d::new(p, w, None, ConvAlgorithm::Direct).unwrap();
         let bad = Tensor::zeros(&[1, 4, 8, 8]);
-        assert!(conv.run(&bad, &ThreadPool::single()).is_err());
+        assert!(run_conv(&conv, &bad, &ThreadPool::single()).is_err());
     }
 
     #[test]
@@ -586,7 +596,7 @@ mod tests {
         let b = Tensor::from_vec(vec![1.0, -2.0], &[2]).unwrap();
         let conv = Conv2d::new(p, w, Some(b), ConvAlgorithm::Direct).unwrap();
         let input = Tensor::ones(&[1, 1, 2, 2]);
-        let out = conv.run(&input, &ThreadPool::single()).unwrap();
+        let out = run_conv(&conv, &input, &ThreadPool::single()).unwrap();
         assert_eq!(out.plane(0, 0).unwrap(), &[1.0; 4]);
         assert_eq!(out.plane(0, 1).unwrap(), &[-2.0; 4]);
     }
@@ -599,7 +609,7 @@ mod tests {
             .unwrap()
             .with_activation(Activation::Relu);
         let input = Tensor::ones(&[1, 1, 2, 2]);
-        let out = conv.run(&input, &ThreadPool::single()).unwrap();
+        let out = run_conv(&conv, &input, &ThreadPool::single()).unwrap();
         assert_eq!(out.as_slice(), &[0.0; 4]);
     }
 

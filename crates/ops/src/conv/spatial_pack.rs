@@ -193,7 +193,7 @@ fn compute_image(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::{Conv2d, ConvAlgorithm};
+    use crate::conv::{run_conv, Conv2d, ConvAlgorithm};
     use orpheus_tensor::allclose;
 
     fn pseudo(n: usize, seed: u64) -> Vec<f32> {
@@ -210,14 +210,18 @@ mod tests {
         let wd = params.weight_dims();
         let weight = Tensor::from_vec(pseudo(wd.iter().product(), 4), &wd).unwrap();
         let pool = ThreadPool::single();
-        let want = Conv2d::new(params, weight.clone(), None, ConvAlgorithm::Direct)
-            .unwrap()
-            .run(&input, &pool)
-            .unwrap();
-        let got = Conv2d::new(params, weight, None, ConvAlgorithm::SpatialPack)
-            .unwrap()
-            .run(&input, &pool)
-            .unwrap();
+        let want = run_conv(
+            &Conv2d::new(params, weight.clone(), None, ConvAlgorithm::Direct).unwrap(),
+            &input,
+            &pool,
+        )
+        .unwrap();
+        let got = run_conv(
+            &Conv2d::new(params, weight, None, ConvAlgorithm::SpatialPack).unwrap(),
+            &input,
+            &pool,
+        )
+        .unwrap();
         let r = allclose(&got, &want, 1e-4, 1e-5);
         assert!(r.ok, "spatial-pack mismatch: {r:?}");
     }
@@ -288,8 +292,8 @@ mod tests {
         let wd = params.weight_dims();
         let weight = Tensor::from_vec(pseudo(wd.iter().product(), 10), &wd).unwrap();
         let conv = Conv2d::new(params, weight, None, ConvAlgorithm::SpatialPack).unwrap();
-        let a = conv.run(&input, &ThreadPool::single()).unwrap();
-        let b = conv.run(&input, &ThreadPool::new(4).unwrap()).unwrap();
+        let a = run_conv(&conv, &input, &ThreadPool::single()).unwrap();
+        let b = run_conv(&conv, &input, &ThreadPool::new(4).unwrap()).unwrap();
         assert_eq!(a, b);
     }
 

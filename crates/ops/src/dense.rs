@@ -93,28 +93,16 @@ impl Dense {
         self.out_features
     }
 
-    /// Runs the layer. Inputs of rank > 2 are flattened to
-    /// `[batch, in_features]` first (the classifier-head idiom).
+    /// Runs the layer into a preallocated `[batch, out_features]` output: a
+    /// [`Tensor`] or a view of one, either way written whole and never read.
+    /// Inputs of rank > 2 are flattened to `[batch, in_features]` first (the
+    /// classifier-head idiom).
     ///
     /// # Errors
     ///
     /// Returns [`OpError::Shape`] if the flattened feature count does not
-    /// match the weight.
-    pub fn run(&self, input: &Tensor, pool: &ThreadPool) -> Result<Tensor, OpError> {
-        let batch = self.batch_of(input.view())?;
-        let mut output = Tensor::zeros(&[batch, self.out_features]);
-        self.run_into(input, &mut output, pool)?;
-        Ok(output)
-    }
-
-    /// [`Dense::run`] writing into a preallocated `[batch, out_features]`
-    /// output: a [`Tensor`] or a view of one, either way written whole and
-    /// never read.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Dense::run`], plus [`OpError::Shape`] if `output` does not
-    /// have dims `[batch, out_features]`.
+    /// match the weight, or `output` does not have dims
+    /// `[batch, out_features]`.
     pub fn run_into<'i, 'o>(
         &self,
         input: impl Into<TensorRef<'i>>,
@@ -237,9 +225,19 @@ impl Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_op;
 
     fn pool1() -> ThreadPool {
         ThreadPool::single()
+    }
+
+    /// Runs `d` into a fresh `[batch, out_features]` output (`[0]` for an
+    /// input with no whole batch, so `run_into` itself rejects it).
+    fn run_dense(d: &Dense, x: &Tensor) -> Result<Tensor, OpError> {
+        let dims = d
+            .batch_of(x.view())
+            .map_or(vec![0], |b| vec![b, d.out_features()]);
+        run_op(&dims, |out| d.run_into(x, out, &pool1()))
     }
 
     #[test]
@@ -247,7 +245,7 @@ mod tests {
         let w = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]).unwrap();
         let d = Dense::new(w, None, DenseAlgorithm::Naive).unwrap();
         let x = Tensor::from_vec(vec![3.0, 4.0], &[1, 2]).unwrap();
-        assert_eq!(d.run(&x, &pool1()).unwrap().as_slice(), &[3.0, 4.0]);
+        assert_eq!(run_dense(&d, &x).unwrap().as_slice(), &[3.0, 4.0]);
     }
 
     #[test]
@@ -256,22 +254,24 @@ mod tests {
         let b = Tensor::from_vec(vec![1.0, -1.0], &[2]).unwrap();
         let d = Dense::new(w, Some(b), DenseAlgorithm::default()).unwrap();
         let x = Tensor::ones(&[1, 3]);
-        assert_eq!(d.run(&x, &pool1()).unwrap().as_slice(), &[1.0, -1.0]);
+        assert_eq!(run_dense(&d, &x).unwrap().as_slice(), &[1.0, -1.0]);
     }
 
     #[test]
     fn gemm_matches_naive() {
         let w = Tensor::from_fn(&[10, 37], |i| ((i * 7) % 13) as f32 * 0.1 - 0.6);
         let x = Tensor::from_fn(&[3, 37], |i| ((i * 11) % 17) as f32 * 0.2 - 1.5);
-        let naive = Dense::new(w.clone(), None, DenseAlgorithm::Naive)
-            .unwrap()
-            .run(&x, &pool1())
-            .unwrap();
+        let naive = run_dense(
+            &Dense::new(w.clone(), None, DenseAlgorithm::Naive).unwrap(),
+            &x,
+        )
+        .unwrap();
         for kernel in GemmKernel::ALL {
-            let g = Dense::new(w.clone(), None, DenseAlgorithm::Gemm(kernel))
-                .unwrap()
-                .run(&x, &pool1())
-                .unwrap();
+            let g = run_dense(
+                &Dense::new(w.clone(), None, DenseAlgorithm::Gemm(kernel)).unwrap(),
+                &x,
+            )
+            .unwrap();
             for (a, b) in naive.as_slice().iter().zip(g.as_slice()) {
                 assert!((a - b).abs() < 1e-4, "{kernel}: {a} vs {b}");
             }
@@ -284,7 +284,7 @@ mod tests {
         let w = Tensor::ones(&[2, 4]);
         let d = Dense::new(w, None, DenseAlgorithm::default()).unwrap();
         let x = Tensor::from_fn(&[1, 4, 1, 1], |i| i as f32);
-        let y = d.run(&x, &pool1()).unwrap();
+        let y = run_dense(&d, &x).unwrap();
         assert_eq!(y.dims(), &[1, 2]);
         assert_eq!(y.as_slice(), &[6.0, 6.0]);
     }
@@ -293,7 +293,7 @@ mod tests {
     fn rejects_feature_mismatch() {
         let w = Tensor::zeros(&[2, 3]);
         let d = Dense::new(w, None, DenseAlgorithm::Naive).unwrap();
-        assert!(d.run(&Tensor::zeros(&[1, 4]), &pool1()).is_err());
+        assert!(run_dense(&d, &Tensor::zeros(&[1, 4])).is_err());
     }
 
     #[test]
@@ -314,7 +314,7 @@ mod tests {
             .unwrap()
             .with_activation(Activation::Relu);
         let x = Tensor::ones(&[1, 1]);
-        assert_eq!(d.run(&x, &pool1()).unwrap().as_slice(), &[0.0]);
+        assert_eq!(run_dense(&d, &x).unwrap().as_slice(), &[0.0]);
     }
 
     /// The prepacked whole-batch GEMM must give each row exactly the result
@@ -325,11 +325,11 @@ mod tests {
         let w = Tensor::from_fn(&[10, 37], |i| ((i * 7) % 13) as f32 * 0.1 - 0.6);
         let d = Dense::new(w, None, DenseAlgorithm::Gemm(GemmKernel::Packed)).unwrap();
         let x = Tensor::from_fn(&[5, 37], |i| ((i * 11) % 17) as f32 * 0.2 - 1.5);
-        let batched = d.run(&x, &pool1()).unwrap();
+        let batched = run_dense(&d, &x).unwrap();
         for b in 0..5 {
             let one =
                 Tensor::from_vec(x.as_slice()[b * 37..(b + 1) * 37].to_vec(), &[1, 37]).unwrap();
-            let single = d.run(&one, &pool1()).unwrap();
+            let single = run_dense(&d, &one).unwrap();
             assert_eq!(
                 single.as_slice(),
                 &batched.as_slice()[b * 10..(b + 1) * 10],
@@ -343,7 +343,7 @@ mod tests {
         let w = Tensor::from_vec(vec![2.0, 0.0, 0.0, 3.0], &[2, 2]).unwrap();
         let d = Dense::new(w, None, DenseAlgorithm::default()).unwrap();
         let x = Tensor::from_vec(vec![1.0, 1.0, 2.0, 2.0], &[2, 2]).unwrap();
-        let y = d.run(&x, &pool1()).unwrap();
+        let y = run_dense(&d, &x).unwrap();
         assert_eq!(y.as_slice(), &[2.0, 3.0, 4.0, 6.0]);
     }
 }

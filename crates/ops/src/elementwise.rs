@@ -1,6 +1,6 @@
 //! Element-wise binary operators (residual connections and friends).
 
-use orpheus_tensor::{Tensor, TensorMut, TensorRef};
+use orpheus_tensor::{TensorMut, TensorRef};
 
 use crate::activation::Activation;
 use crate::error::{expect_dims, OpError};
@@ -16,21 +16,8 @@ pub enum BinaryOp {
     Mul,
 }
 
-/// Applies a binary operation over two same-shaped tensors.
-///
-/// # Errors
-///
-/// Returns [`OpError::Shape`] if the shapes differ.
-pub fn binary(op: BinaryOp, a: &Tensor, b: &Tensor) -> Result<Tensor, OpError> {
-    let f = match op {
-        BinaryOp::Add => |x: f32, y: f32| x + y,
-        BinaryOp::Sub => |x: f32, y: f32| x - y,
-        BinaryOp::Mul => |x: f32, y: f32| x * y,
-    };
-    a.zip_with(b, f).map_err(Into::into)
-}
-
-/// [`binary`] writing into a preallocated output tensor of the inputs' dims.
+/// Applies a binary operation over two same-shaped tensors, writing into
+/// a preallocated output of the inputs' dims.
 ///
 /// # Errors
 ///
@@ -59,22 +46,8 @@ pub fn binary_into(
     Ok(())
 }
 
-/// Fused `activation(a + b)` — the shape of every ResNet block join.
-/// Runs in one pass over the output.
-///
-/// # Errors
-///
-/// Returns [`OpError::Shape`] if the shapes differ.
-pub fn add_activate(a: &Tensor, b: &Tensor, act: Activation) -> Result<Tensor, OpError> {
-    expect_dims(a.dims(), b.dims())?;
-    let mut out = a.clone();
-    for (o, &y) in out.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *o = act.apply(*o + y);
-    }
-    Ok(out)
-}
-
-/// [`add_activate`] writing into a preallocated output tensor.
+/// Fused `activation(a + b)` — the shape of every ResNet block join —
+/// written into a preallocated output in one pass.
 ///
 /// # Errors
 ///
@@ -101,9 +74,21 @@ pub fn add_activate_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_op;
+    use orpheus_tensor::Tensor;
 
     fn t(v: &[f32]) -> Tensor {
         Tensor::from_vec(v.to_vec(), &[v.len()]).unwrap()
+    }
+
+    fn run_binary(op: BinaryOp, a: &Tensor, b: &Tensor) -> Result<Tensor, OpError> {
+        run_op(a.dims(), |out| binary_into(op, a.view(), b.view(), out))
+    }
+
+    fn run_add_activate(a: &Tensor, b: &Tensor, act: Activation) -> Result<Tensor, OpError> {
+        run_op(a.dims(), |out| {
+            add_activate_into(a.view(), b.view(), act, out)
+        })
     }
 
     #[test]
@@ -111,33 +96,45 @@ mod tests {
         let a = t(&[1.0, 2.0]);
         let b = t(&[10.0, -1.0]);
         assert_eq!(
-            binary(BinaryOp::Add, &a, &b).unwrap().as_slice(),
+            run_binary(BinaryOp::Add, &a, &b).unwrap().as_slice(),
             &[11.0, 1.0]
         );
         assert_eq!(
-            binary(BinaryOp::Sub, &a, &b).unwrap().as_slice(),
+            run_binary(BinaryOp::Sub, &a, &b).unwrap().as_slice(),
             &[-9.0, 3.0]
         );
         assert_eq!(
-            binary(BinaryOp::Mul, &a, &b).unwrap().as_slice(),
+            run_binary(BinaryOp::Mul, &a, &b).unwrap().as_slice(),
             &[10.0, -2.0]
         );
     }
 
     #[test]
     fn shape_mismatch_rejected() {
-        assert!(binary(BinaryOp::Add, &Tensor::zeros(&[2]), &Tensor::zeros(&[3])).is_err());
-        assert!(
-            add_activate(&Tensor::zeros(&[2]), &Tensor::zeros(&[3]), Activation::Relu).is_err()
-        );
+        let (two, three) = (Tensor::zeros(&[2]), Tensor::zeros(&[3]));
+        assert!(run_binary(BinaryOp::Add, &two, &three).is_err());
+        assert!(run_add_activate(&two, &three, Activation::Relu).is_err());
+        // A mis-shaped output is rejected too, not silently truncated.
+        assert!(run_op(&[3], |out| binary_into(
+            BinaryOp::Add,
+            two.view(),
+            two.view(),
+            out
+        ))
+        .is_err());
+        assert!(run_op(&[3], |out| {
+            add_activate_into(two.view(), two.view(), Activation::Relu, out)
+        })
+        .is_err());
     }
 
     #[test]
     fn fused_add_relu_matches_unfused() {
         let a = t(&[1.0, -5.0, 2.0]);
         let b = t(&[1.0, 2.0, -9.0]);
-        let fused = add_activate(&a, &b, Activation::Relu).unwrap();
-        let unfused = Activation::Relu.run(&binary(BinaryOp::Add, &a, &b).unwrap());
+        let fused = run_add_activate(&a, &b, Activation::Relu).unwrap();
+        let sum = run_binary(BinaryOp::Add, &a, &b).unwrap();
+        let unfused = run_op(sum.dims(), |out| Activation::Relu.run_into(sum.view(), out)).unwrap();
         assert_eq!(fused, unfused);
         assert_eq!(fused.as_slice(), &[2.0, 0.0, 0.0]);
     }
@@ -147,8 +144,8 @@ mod tests {
         let a = t(&[1.5, 2.5]);
         let b = t(&[0.5, -2.5]);
         assert_eq!(
-            binary(BinaryOp::Add, &a, &b).unwrap(),
-            binary(BinaryOp::Add, &b, &a).unwrap()
+            run_binary(BinaryOp::Add, &a, &b).unwrap(),
+            run_binary(BinaryOp::Add, &b, &a).unwrap()
         );
     }
 }

@@ -20,6 +20,11 @@
 //! crate's test suite, mirroring the paper's "suite of unit tests to ensure
 //! correctness of all operations".
 //!
+//! Each operator has one entry point, its `_into` form: it validates the
+//! shapes, then writes every element of a caller-provided output view and
+//! allocates nothing. The caller owns the output (the engine hands each
+//! step a slice of its arena; a one-off caller allocates `zeros(dims)`).
+//!
 //! # Examples
 //!
 //! ```
@@ -31,7 +36,8 @@
 //! let weight = Tensor::ones(&[8, 3, 3, 3]);
 //! let conv = Conv2d::new(params, weight, None, ConvAlgorithm::default()).unwrap();
 //! let input = Tensor::ones(&[1, 3, 16, 16]);
-//! let out = conv.run(&input, &ThreadPool::single()).unwrap();
+//! let mut out = Tensor::zeros(&conv.output_dims(input.dims()).unwrap());
+//! conv.run_into(&input, &mut out, &ThreadPool::single()).unwrap();
 //! assert_eq!(out.dims(), &[1, 8, 16, 16]);
 //! ```
 
@@ -50,3 +56,15 @@ pub mod reduce;
 pub mod softmax;
 
 pub use error::OpError;
+
+/// Test support: runs an `_into` operator into a fresh zeroed tensor of
+/// `out_dims` and returns it.
+#[cfg(test)]
+pub(crate) fn run_op(
+    out_dims: &[usize],
+    op: impl FnOnce(orpheus_tensor::TensorMut<'_>) -> Result<(), OpError>,
+) -> Result<orpheus_tensor::Tensor, OpError> {
+    let mut out = orpheus_tensor::Tensor::zeros(out_dims);
+    op(out.view_mut())?;
+    Ok(out)
+}

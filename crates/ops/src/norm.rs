@@ -68,23 +68,12 @@ impl BatchNorm {
         (&self.alpha, &self.beta)
     }
 
-    /// Applies normalization to an NCHW tensor.
+    /// Applies normalization to an NCHW tensor, writing into a
+    /// preallocated output of the input's dims.
     ///
     /// # Errors
     ///
-    /// Returns [`OpError::Shape`] on rank/channel mismatch.
-    pub fn run(&self, input: &Tensor) -> Result<Tensor, OpError> {
-        let mut out = Tensor::zeros(input.dims());
-        self.run_into(input.view(), out.view_mut())?;
-        Ok(out)
-    }
-
-    /// [`BatchNorm::run`] writing into a preallocated output tensor of the
-    /// input's dims.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BatchNorm::run`], plus [`OpError::Shape`] on an output dims
+    /// Returns [`OpError::Shape`] on rank/channel mismatch or an output dims
     /// mismatch.
     pub fn run_into(&self, input: TensorRef<'_>, mut output: TensorMut<'_>) -> Result<(), OpError> {
         expect_rank(input.dims(), 4)?;
@@ -114,6 +103,11 @@ impl BatchNorm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_op;
+
+    fn normalize(b: &BatchNorm, x: &Tensor) -> Result<Tensor, OpError> {
+        run_op(x.dims(), |out| b.run_into(x.view(), out))
+    }
 
     fn bn(scale: &[f32], shift: &[f32], mean: &[f32], var: &[f32]) -> BatchNorm {
         BatchNorm::new(
@@ -130,7 +124,7 @@ mod tests {
     fn identity_params_pass_through() {
         let b = bn(&[1.0], &[0.0], &[0.0], &[1.0]);
         let x = Tensor::from_vec(vec![2.0, -3.0], &[1, 1, 1, 2]).unwrap();
-        let y = b.run(&x).unwrap();
+        let y = normalize(&b, &x).unwrap();
         for (a, e) in y.as_slice().iter().zip(x.as_slice()) {
             assert!((a - e).abs() < 1e-4);
         }
@@ -141,7 +135,7 @@ mod tests {
         // x=5, mean=3, var=4, scale=2, shift=1: y = 2*(5-3)/2 + 1 = 3.
         let b = bn(&[2.0], &[1.0], &[3.0], &[4.0]);
         let x = Tensor::full(&[1, 1, 1, 1], 5.0);
-        let y = b.run(&x).unwrap();
+        let y = normalize(&b, &x).unwrap();
         assert!((y.as_slice()[0] - 3.0).abs() < 1e-4);
     }
 
@@ -149,7 +143,7 @@ mod tests {
     fn per_channel_independence() {
         let b = bn(&[1.0, 10.0], &[0.0, 0.0], &[0.0, 0.0], &[1.0, 1.0]);
         let x = Tensor::ones(&[1, 2, 1, 1]);
-        let y = b.run(&x).unwrap();
+        let y = normalize(&b, &x).unwrap();
         assert!((y.as_slice()[0] - 1.0).abs() < 1e-4);
         assert!((y.as_slice()[1] - 10.0).abs() < 1e-3);
     }
@@ -157,8 +151,10 @@ mod tests {
     #[test]
     fn rejects_channel_mismatch() {
         let b = bn(&[1.0], &[0.0], &[0.0], &[1.0]);
-        assert!(b.run(&Tensor::zeros(&[1, 2, 1, 1])).is_err());
-        assert!(b.run(&Tensor::zeros(&[4])).is_err());
+        assert!(normalize(&b, &Tensor::zeros(&[1, 2, 1, 1])).is_err());
+        assert!(normalize(&b, &Tensor::zeros(&[4])).is_err());
+        let x = Tensor::zeros(&[1, 1, 2, 2]);
+        assert!(run_op(&[1, 1, 4], |out| b.run_into(x.view(), out)).is_err());
     }
 
     #[test]

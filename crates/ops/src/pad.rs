@@ -6,32 +6,13 @@
 //! the `pad-fold` graph pass that absorbs zero-padding into a following
 //! convolution.
 
-use orpheus_tensor::{ShapeError, Tensor, TensorMut, TensorRef};
+use orpheus_tensor::{ShapeError, TensorMut, TensorRef};
 
 use crate::error::OpError;
 
 /// Pads a tensor with a constant, `begins[d]` elements before and
-/// `ends[d]` after each dimension `d`.
-///
-/// # Errors
-///
-/// Returns [`OpError::Shape`] if `begins`/`ends` do not have one entry per
-/// dimension.
-pub fn pad_constant(
-    input: &Tensor,
-    begins: &[usize],
-    ends: &[usize],
-    value: f32,
-) -> Result<Tensor, OpError> {
-    // A mis-sized pad spec only truncates the dims here; `_into` rejects it.
-    let out_dims: Vec<usize> = padded_dims(input.dims(), begins, ends).collect();
-    let mut out = Tensor::zeros(&out_dims);
-    pad_constant_into(input.view(), begins, ends, value, out.view_mut())?;
-    Ok(out)
-}
-
-/// [`pad_constant`] writing into a preallocated output tensor of the padded
-/// dims. Allocation-free.
+/// `ends[d]` after each dimension `d`, writing into a preallocated output of
+/// the padded dims. Allocation-free.
 ///
 /// # Errors
 ///
@@ -106,18 +87,34 @@ fn padded_dims<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_op;
+    use orpheus_tensor::Tensor;
+
+    /// Pads into an output of the padded dims (truncated by a mis-sized
+    /// spec, which `_into` then rejects).
+    fn run_pad(
+        input: &Tensor,
+        begins: &[usize],
+        ends: &[usize],
+        value: f32,
+    ) -> Result<Tensor, OpError> {
+        let dims: Vec<usize> = padded_dims(input.dims(), begins, ends).collect();
+        run_op(&dims, |out| {
+            pad_constant_into(input.view(), begins, ends, value, out)
+        })
+    }
 
     #[test]
     fn pads_1d() {
         let t = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        let out = pad_constant(&t, &[1], &[2], 9.0).unwrap();
+        let out = run_pad(&t, &[1], &[2], 9.0).unwrap();
         assert_eq!(out.as_slice(), &[9.0, 1.0, 2.0, 9.0, 9.0]);
     }
 
     #[test]
     fn pads_2d_asymmetric() {
         let t = Tensor::from_fn(&[2, 2], |i| i as f32 + 1.0);
-        let out = pad_constant(&t, &[0, 1], &[1, 0], 0.0).unwrap();
+        let out = run_pad(&t, &[0, 1], &[1, 0], 0.0).unwrap();
         assert_eq!(out.dims(), &[3, 3]);
         assert_eq!(
             out.as_slice(),
@@ -128,7 +125,7 @@ mod tests {
     #[test]
     fn pads_nchw_spatial() {
         let t = Tensor::ones(&[1, 2, 2, 2]);
-        let out = pad_constant(&t, &[0, 0, 1, 1], &[0, 0, 1, 1], 0.0).unwrap();
+        let out = run_pad(&t, &[0, 0, 1, 1], &[0, 0, 1, 1], 0.0).unwrap();
         assert_eq!(out.dims(), &[1, 2, 4, 4]);
         // Centre 2x2 of each channel is ones, border zeros.
         for c in 0..2 {
@@ -142,21 +139,21 @@ mod tests {
     #[test]
     fn zero_padding_is_identity() {
         let t = Tensor::from_fn(&[2, 3, 2, 2], |i| i as f32);
-        let out = pad_constant(&t, &[0; 4], &[0; 4], 7.0).unwrap();
+        let out = run_pad(&t, &[0; 4], &[0; 4], 7.0).unwrap();
         assert_eq!(out, t);
     }
 
     #[test]
     fn custom_fill_value() {
         let t = Tensor::zeros(&[1, 1]);
-        let out = pad_constant(&t, &[1, 1], &[1, 1], -5.0).unwrap();
+        let out = run_pad(&t, &[1, 1], &[1, 1], -5.0).unwrap();
         assert_eq!(out.sum(), -5.0 * 8.0);
     }
 
     #[test]
     fn rejects_wrong_rank_spec() {
         let t = Tensor::zeros(&[2, 2]);
-        assert!(pad_constant(&t, &[1], &[1, 1], 0.0).is_err());
+        assert!(run_pad(&t, &[1], &[1, 1], 0.0).is_err());
     }
 
     #[test]
@@ -166,13 +163,13 @@ mod tests {
         assert!(pad_constant_into(t.view(), &[1, 1], &[1, 1], 0.0, wrong.view_mut()).is_err());
         let mut out = Tensor::full(&[3, 4], 7.0);
         pad_constant_into(t.view(), &[1, 1], &[1, 1], 0.0, out.view_mut()).unwrap();
-        assert_eq!(out, pad_constant(&t, &[1, 1], &[1, 1], 0.0).unwrap());
+        assert_eq!(out, run_pad(&t, &[1, 1], &[1, 1], 0.0).unwrap());
     }
 
     #[test]
     fn pads_scalar_is_noop() {
         let t = Tensor::scalar(3.0);
-        let out = pad_constant(&t, &[], &[], 0.0).unwrap();
+        let out = run_pad(&t, &[], &[], 0.0).unwrap();
         assert_eq!(out, t);
     }
 }

@@ -1,6 +1,6 @@
 //! Spatial pooling operators.
 
-use orpheus_tensor::{Tensor, TensorMut, TensorRef};
+use orpheus_tensor::{TensorMut, TensorRef};
 use orpheus_threads::ThreadPool;
 
 use crate::conv::conv_out_dim;
@@ -85,37 +85,14 @@ impl Pool2dParams {
     }
 }
 
-/// Runs 2-D pooling over an NCHW tensor.
+/// Runs 2-D pooling over an NCHW tensor into a preallocated output of the
+/// pooled dims.
 ///
 /// # Errors
 ///
-/// Returns [`OpError::Shape`] if the input is not rank 4, and
-/// [`OpError::InvalidParams`] for zero extents.
-pub fn pool2d(params: &Pool2dParams, input: &Tensor, pool: &ThreadPool) -> Result<Tensor, OpError> {
-    expect_rank(input.dims(), 4)?;
-    if params.kernel_h == 0 || params.kernel_w == 0 || params.stride_h == 0 || params.stride_w == 0
-    {
-        return Err(OpError::InvalidParams(
-            "pooling extents and strides must be positive".into(),
-        ));
-    }
-    let [n, c, ih, iw] = [
-        input.dims()[0],
-        input.dims()[1],
-        input.dims()[2],
-        input.dims()[3],
-    ];
-    let mut output = Tensor::zeros(&[n, c, params.out_h(ih), params.out_w(iw)]);
-    pool2d_into(params, input.view(), output.view_mut(), pool)?;
-    Ok(output)
-}
-
-/// [`pool2d`] writing into a preallocated output tensor of the pooled dims.
-///
-/// # Errors
-///
-/// Same as [`pool2d`], plus [`OpError::Shape`] if `output` does not have the
-/// pooled output dims.
+/// Returns [`OpError::Shape`] if the input is not rank 4 or `output` does
+/// not have the pooled output dims, and [`OpError::InvalidParams`] for zero
+/// extents.
 pub fn pool2d_into(
     params: &Pool2dParams,
     input: TensorRef<'_>,
@@ -191,19 +168,7 @@ pub fn pool2d_into(
 }
 
 /// Global average pooling: collapses each `[h, w]` plane to a single value,
-/// producing `[n, c, 1, 1]`.
-///
-/// # Errors
-///
-/// Returns [`OpError::Shape`] if the input is not rank 4.
-pub fn global_average_pool(input: &Tensor, pool: &ThreadPool) -> Result<Tensor, OpError> {
-    expect_rank(input.dims(), 4)?;
-    let mut output = Tensor::zeros(&[input.dims()[0], input.dims()[1], 1, 1]);
-    global_average_pool_into(input.view(), output.view_mut(), pool)?;
-    Ok(output)
-}
-
-/// [`global_average_pool`] writing into a preallocated `[n, c, 1, 1]` tensor.
+/// writing into a preallocated `[n, c, 1, 1]` output.
 ///
 /// # Errors
 ///
@@ -233,15 +198,41 @@ pub fn global_average_pool_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_op;
+    use orpheus_tensor::Tensor;
 
     fn pool1() -> ThreadPool {
         ThreadPool::single()
     }
 
+    /// Pools into an output of the pooled dims (`[0]` for a non-rank-4
+    /// input, which `_into` then rejects).
+    fn run_pool(
+        params: &Pool2dParams,
+        input: &Tensor,
+        pool: &ThreadPool,
+    ) -> Result<Tensor, OpError> {
+        let dims = match *input.dims() {
+            [n, c, h, w] => vec![n, c, params.out_h(h), params.out_w(w)],
+            _ => vec![0],
+        };
+        run_op(&dims, |out| pool2d_into(params, input.view(), out, pool))
+    }
+
+    fn run_global(input: &Tensor) -> Result<Tensor, OpError> {
+        let dims = match *input.dims() {
+            [n, c, _, _] => vec![n, c, 1, 1],
+            _ => vec![0],
+        };
+        run_op(&dims, |out| {
+            global_average_pool_into(input.view(), out, &pool1())
+        })
+    }
+
     #[test]
     fn max_pool_2x2() {
         let input = Tensor::from_fn(&[1, 1, 4, 4], |i| i as f32);
-        let out = pool2d(&Pool2dParams::max(2, 2), &input, &pool1()).unwrap();
+        let out = run_pool(&Pool2dParams::max(2, 2), &input, &pool1()).unwrap();
         assert_eq!(out.dims(), &[1, 1, 2, 2]);
         assert_eq!(out.as_slice(), &[5.0, 7.0, 13.0, 15.0]);
     }
@@ -249,14 +240,14 @@ mod tests {
     #[test]
     fn max_pool_handles_negative_inputs() {
         let input = Tensor::full(&[1, 1, 2, 2], -3.0);
-        let out = pool2d(&Pool2dParams::max(2, 2), &input, &pool1()).unwrap();
+        let out = run_pool(&Pool2dParams::max(2, 2), &input, &pool1()).unwrap();
         assert_eq!(out.as_slice(), &[-3.0]);
     }
 
     #[test]
     fn avg_pool_2x2() {
         let input = Tensor::from_fn(&[1, 1, 2, 2], |i| i as f32);
-        let out = pool2d(&Pool2dParams::average(2, 2), &input, &pool1()).unwrap();
+        let out = run_pool(&Pool2dParams::average(2, 2), &input, &pool1()).unwrap();
         assert_eq!(out.as_slice(), &[1.5]);
     }
 
@@ -265,7 +256,7 @@ mod tests {
         // 2x2 ones, 3x3 window, pad 1: corner window sees 4 real pixels.
         let input = Tensor::ones(&[1, 1, 2, 2]);
         let p = Pool2dParams::average(3, 1).with_padding(1, 1);
-        let out = pool2d(&p, &input, &pool1()).unwrap();
+        let out = run_pool(&p, &input, &pool1()).unwrap();
         assert_eq!(out.as_slice(), &[1.0, 1.0, 1.0, 1.0]);
     }
 
@@ -276,7 +267,7 @@ mod tests {
         p.mode = PoolMode::Average {
             count_include_pad: true,
         };
-        let out = pool2d(&p, &input, &pool1()).unwrap();
+        let out = run_pool(&p, &input, &pool1()).unwrap();
         // Corner window covers 4 ones out of 9 positions.
         assert!((out.as_slice()[0] - 4.0 / 9.0).abs() < 1e-6);
     }
@@ -285,37 +276,42 @@ mod tests {
     fn max_pool_3x3_stride2_resnet_stem() {
         let p = Pool2dParams::max(3, 2).with_padding(1, 1);
         let input = Tensor::ones(&[1, 1, 112, 112]);
-        let out = pool2d(&p, &input, &pool1()).unwrap();
+        let out = run_pool(&p, &input, &pool1()).unwrap();
         assert_eq!(out.dims(), &[1, 1, 56, 56]);
     }
 
     #[test]
     fn global_average_pool_means_planes() {
         let input = Tensor::from_fn(&[1, 2, 2, 2], |i| i as f32);
-        let out = global_average_pool(&input, &pool1()).unwrap();
+        let out = run_global(&input).unwrap();
         assert_eq!(out.dims(), &[1, 2, 1, 1]);
         assert_eq!(out.as_slice(), &[1.5, 5.5]);
     }
 
     #[test]
     fn rejects_non_rank4() {
-        assert!(pool2d(&Pool2dParams::max(2, 2), &Tensor::zeros(&[4]), &pool1()).is_err());
-        assert!(global_average_pool(&Tensor::zeros(&[4]), &pool1()).is_err());
+        assert!(run_pool(&Pool2dParams::max(2, 2), &Tensor::zeros(&[4]), &pool1()).is_err());
+        assert!(run_global(&Tensor::zeros(&[4])).is_err());
     }
 
     #[test]
     fn rejects_zero_stride() {
         let mut p = Pool2dParams::max(2, 2);
         p.stride_h = 0;
-        assert!(pool2d(&p, &Tensor::zeros(&[1, 1, 4, 4]), &pool1()).is_err());
+        // The pooled dims are undefined at stride 0: any output is rejected.
+        let input = Tensor::zeros(&[1, 1, 4, 4]);
+        let err = run_op(&[1, 1, 2, 2], |out| {
+            pool2d_into(&p, input.view(), out, &pool1())
+        });
+        assert!(matches!(err, Err(OpError::InvalidParams(_))));
     }
 
     #[test]
     fn multithreaded_matches_single() {
         let input = Tensor::from_fn(&[2, 3, 8, 8], |i| ((i * 31) % 17) as f32);
         let p = Pool2dParams::max(3, 2).with_padding(1, 1);
-        let a = pool2d(&p, &input, &pool1()).unwrap();
-        let b = pool2d(&p, &input, &ThreadPool::new(4).unwrap()).unwrap();
+        let a = run_pool(&p, &input, &pool1()).unwrap();
+        let b = run_pool(&p, &input, &ThreadPool::new(4).unwrap()).unwrap();
         assert_eq!(a, b);
     }
 }

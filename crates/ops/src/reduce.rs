@@ -4,28 +4,16 @@
 //! `ReduceMean(axes=[2,3])`; supporting the general reduction keeps such
 //! models loadable without special-casing the exporter.
 
-use orpheus_tensor::{ShapeError, Tensor, TensorMut, TensorRef};
+use orpheus_tensor::{ShapeError, TensorMut, TensorRef};
 
 use crate::error::OpError;
 
-/// Mean over the given axes.
+/// Mean over the given axes, written into a preallocated output of the
+/// reduced dims. Allocation-free.
 ///
 /// With `keepdims`, reduced axes stay in the shape with extent 1 (ONNX's
 /// default); otherwise they are removed (a full reduction then yields a
 /// rank-0 scalar tensor).
-///
-/// # Errors
-///
-/// Returns [`OpError::InvalidParams`] for repeated or out-of-range axes.
-pub fn reduce_mean(input: &Tensor, axes: &[usize], keepdims: bool) -> Result<Tensor, OpError> {
-    let out_dims: Vec<usize> = reduced_dims(input.dims(), axes, keepdims).collect();
-    let mut out = Tensor::zeros(&out_dims);
-    reduce_mean_into(input.view(), axes, keepdims, out.view_mut())?;
-    Ok(out)
-}
-
-/// [`reduce_mean`] writing into a preallocated output tensor of the reduced
-/// dims. Allocation-free.
 ///
 /// # Errors
 ///
@@ -109,11 +97,20 @@ fn reduced_dims<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_op;
+    use orpheus_tensor::Tensor;
+
+    fn run_mean(input: &Tensor, axes: &[usize], keepdims: bool) -> Result<Tensor, OpError> {
+        let dims: Vec<usize> = reduced_dims(input.dims(), axes, keepdims).collect();
+        run_op(&dims, |out| {
+            reduce_mean_into(input.view(), axes, keepdims, out)
+        })
+    }
 
     #[test]
     fn mean_over_last_axis() {
         let t = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[2, 2]).unwrap();
-        let out = reduce_mean(&t, &[1], false).unwrap();
+        let out = run_mean(&t, &[1], false).unwrap();
         assert_eq!(out.dims(), &[2]);
         assert_eq!(out.as_slice(), &[2.0, 6.0]);
     }
@@ -121,17 +118,20 @@ mod tests {
     #[test]
     fn keepdims_preserves_rank() {
         let t = Tensor::ones(&[2, 3, 4]);
-        let out = reduce_mean(&t, &[1], true).unwrap();
+        let out = run_mean(&t, &[1], true).unwrap();
         assert_eq!(out.dims(), &[2, 1, 4]);
     }
 
     #[test]
     fn spatial_reduce_matches_global_average_pool() {
-        use crate::pool::global_average_pool;
+        use crate::pool::global_average_pool_into;
         use orpheus_threads::ThreadPool;
         let t = Tensor::from_fn(&[2, 3, 4, 4], |i| ((i * 31) % 17) as f32);
-        let gap = global_average_pool(&t, &ThreadPool::single()).unwrap();
-        let rm = reduce_mean(&t, &[2, 3], true).unwrap();
+        let gap = run_op(&[2, 3, 1, 1], |out| {
+            global_average_pool_into(t.view(), out, &ThreadPool::single())
+        })
+        .unwrap();
+        let rm = run_mean(&t, &[2, 3], true).unwrap();
         assert_eq!(rm.dims(), &[2, 3, 1, 1]);
         for (a, b) in rm.as_slice().iter().zip(gap.as_slice()) {
             assert!((a - b).abs() < 1e-4);
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn full_reduction_yields_scalar() {
         let t = Tensor::from_vec(vec![2.0, 4.0, 6.0], &[3]).unwrap();
-        let out = reduce_mean(&t, &[0], false).unwrap();
+        let out = run_mean(&t, &[0], false).unwrap();
         assert_eq!(out.dims(), &[] as &[usize]);
         assert_eq!(out.as_slice(), &[4.0]);
     }
@@ -149,7 +149,7 @@ mod tests {
     #[test]
     fn empty_axes_is_identity_mean() {
         let t = Tensor::from_fn(&[2, 2], |i| i as f32);
-        let out = reduce_mean(&t, &[], false).unwrap();
+        let out = run_mean(&t, &[], false).unwrap();
         assert_eq!(out, t);
     }
 
@@ -166,13 +166,13 @@ mod tests {
     #[test]
     fn rejects_bad_axes() {
         let t = Tensor::ones(&[2, 2]);
-        assert!(reduce_mean(&t, &[2], false).is_err());
-        assert!(reduce_mean(&t, &[0, 0], false).is_err());
+        assert!(run_mean(&t, &[2], false).is_err());
+        assert!(run_mean(&t, &[0, 0], false).is_err());
     }
 
     #[test]
     fn rejects_empty_tensor() {
         let t = Tensor::zeros(&[0, 3]);
-        assert!(reduce_mean(&t, &[0], false).is_err());
+        assert!(run_mean(&t, &[0], false).is_err());
     }
 }

@@ -1,23 +1,13 @@
 //! Numerically-stable softmax.
 
-use orpheus_tensor::{ShapeError, Tensor, TensorMut, TensorRef};
+use orpheus_tensor::{ShapeError, TensorMut, TensorRef};
 
 use crate::error::{expect_dims, OpError};
 
-/// Softmax along the last axis (the class axis of a classifier head).
+/// Softmax along the last axis (the class axis of a classifier head),
+/// written into a preallocated output of the input's dims.
 ///
 /// Uses the max-subtraction trick for numerical stability.
-///
-/// # Errors
-///
-/// Returns [`OpError::Shape`] for rank-0 input.
-pub fn softmax(input: &Tensor) -> Result<Tensor, OpError> {
-    let mut out = Tensor::zeros(input.dims());
-    softmax_into(input.view(), out.view_mut())?;
-    Ok(out)
-}
-
-/// [`softmax`] writing into a preallocated output tensor of the input's dims.
 ///
 /// # Errors
 ///
@@ -54,11 +44,17 @@ pub fn softmax_into(input: TensorRef<'_>, mut output: TensorMut<'_>) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_op;
+    use orpheus_tensor::Tensor;
+
+    fn run_softmax(input: &Tensor) -> Result<Tensor, OpError> {
+        run_op(input.dims(), |out| softmax_into(input.view(), out))
+    }
 
     #[test]
     fn sums_to_one() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
-        let s = softmax(&t).unwrap();
+        let s = run_softmax(&t).unwrap();
         assert!((s.sum() - 1.0).abs() < 1e-6);
         assert!(s.as_slice().windows(2).all(|w| w[0] < w[1]));
     }
@@ -66,7 +62,7 @@ mod tests {
     #[test]
     fn uniform_input_uniform_output() {
         let t = Tensor::full(&[4], 7.0);
-        let s = softmax(&t).unwrap();
+        let s = run_softmax(&t).unwrap();
         for &x in s.as_slice() {
             assert!((x - 0.25).abs() < 1e-6);
         }
@@ -75,7 +71,7 @@ mod tests {
     #[test]
     fn stable_under_large_values() {
         let t = Tensor::from_vec(vec![1000.0, 1001.0], &[2]).unwrap();
-        let s = softmax(&t).unwrap();
+        let s = run_softmax(&t).unwrap();
         assert!(s.as_slice().iter().all(|x| x.is_finite()));
         assert!((s.sum() - 1.0).abs() < 1e-6);
     }
@@ -83,7 +79,7 @@ mod tests {
     #[test]
     fn rows_are_independent() {
         let t = Tensor::from_vec(vec![0.0, 0.0, 100.0, 0.0], &[2, 2]).unwrap();
-        let s = softmax(&t).unwrap();
+        let s = run_softmax(&t).unwrap();
         assert!((s.at(&[0, 0]) - 0.5).abs() < 1e-6);
         assert!(s.at(&[1, 0]) > 0.999);
     }
@@ -91,12 +87,14 @@ mod tests {
     #[test]
     fn preserves_argmax() {
         let t = Tensor::from_vec(vec![0.1, 5.0, -2.0, 1.0], &[4]).unwrap();
-        let s = softmax(&t).unwrap();
+        let s = run_softmax(&t).unwrap();
         assert_eq!(s.argmax(), t.argmax());
     }
 
     #[test]
-    fn rejects_scalar() {
-        assert!(softmax(&Tensor::scalar(1.0)).is_err());
+    fn rejects_scalar_and_mis_shaped_output() {
+        assert!(run_softmax(&Tensor::scalar(1.0)).is_err());
+        let t = Tensor::ones(&[2, 2]);
+        assert!(run_op(&[4], |out| softmax_into(t.view(), out)).is_err());
     }
 }

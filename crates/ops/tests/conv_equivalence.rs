@@ -34,6 +34,14 @@ fn every_algorithm() -> Vec<ConvAlgorithm> {
         .collect()
 }
 
+/// Runs `conv` into a fresh output of its output dims.
+fn run_conv(conv: &Conv2d, input: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(&conv.output_dims(input.dims()).unwrap());
+    conv.run_into(input, &mut out, &ThreadPool::single())
+        .unwrap();
+    out
+}
+
 /// Input, weight and bias for `params` on an input of `dims`.
 fn tensors(params: &Conv2dParams, dims: &[usize; 4], seed: u64) -> (Tensor, Tensor, Tensor) {
     let input = Tensor::from_vec(pseudo(dims.iter().product(), seed), dims).unwrap();
@@ -51,10 +59,8 @@ fn reference(
     (input, weight, bias): &(Tensor, Tensor, Tensor),
     activation: Option<Activation>,
 ) -> Tensor {
-    let mut out = Conv2d::new(params, weight.clone(), None, ConvAlgorithm::Direct)
-        .unwrap()
-        .run(input, &ThreadPool::single())
-        .unwrap();
+    let direct = Conv2d::new(params, weight.clone(), None, ConvAlgorithm::Direct).unwrap();
+    let mut out = run_conv(&direct, input);
     let plane = out.dims()[2] * out.dims()[3];
     for (p, data) in out.as_mut_slice().chunks_exact_mut(plane).enumerate() {
         for x in data.iter_mut() {
@@ -78,7 +84,7 @@ fn run_with_epilogue(
     if let Some(act) = activation {
         conv = conv.with_activation(act);
     }
-    conv.run(input, &ThreadPool::single()).unwrap()
+    run_conv(&conv, input)
 }
 
 proptest! {
@@ -121,8 +127,8 @@ proptest! {
                                       &params.weight_dims()).unwrap();
         for algo in [ConvAlgorithm::Direct, ConvAlgorithm::default(), ConvAlgorithm::SpatialPack] {
             let conv = Conv2d::new(params, weight.clone(), None, algo).unwrap();
-            let y = conv.run(&input, &ThreadPool::single()).unwrap();
-            let y_scaled = conv.run(&input.map(|x| x * scale), &ThreadPool::single()).unwrap();
+            let y = run_conv(&conv, &input);
+            let y_scaled = run_conv(&conv, &input.map(|x| x * scale));
             let want = y.map(|v| v * scale);
             let r = allclose(&y_scaled, &want, 1e-3, 1e-3);
             prop_assert!(r.ok, "{algo} not linear: {r:?}");

@@ -219,33 +219,6 @@ impl Tensor {
         }
     }
 
-    /// Combines two same-shaped tensors element-wise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError::Mismatch`] if the shapes differ.
-    pub fn zip_with(
-        &self,
-        other: &Tensor,
-        f: impl Fn(f32, f32) -> f32,
-    ) -> Result<Tensor, ShapeError> {
-        if self.shape != other.shape {
-            return Err(ShapeError::Mismatch {
-                left: self.shape.dims().to_vec(),
-                right: other.shape.dims().to_vec(),
-            });
-        }
-        Ok(Tensor {
-            shape: self.shape.clone(),
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        })
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -376,15 +349,9 @@ mod tests {
     }
 
     #[test]
-    fn map_and_zip() {
+    fn map() {
         let a = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        let b = Tensor::from_vec(vec![10.0, 20.0], &[2]).unwrap();
         assert_eq!(a.map(|x| -x).as_slice(), &[-1.0, -2.0]);
-        assert_eq!(
-            a.zip_with(&b, |x, y| x + y).unwrap().as_slice(),
-            &[11.0, 22.0]
-        );
-        assert!(a.zip_with(&Tensor::zeros(&[3]), |x, _| x).is_err());
     }
 
     #[test]

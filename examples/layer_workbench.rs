@@ -41,8 +41,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let input = Tensor::from_fn(&[1, params.in_channels, hw, hw], |i| {
             ((i % 17) as f32 - 8.0) * 0.05
         });
-        let reference =
-            Conv2d::new(params, weight.clone(), None, ConvAlgorithm::Direct)?.run(&input, &pool)?;
+        let direct = Conv2d::new(params, weight.clone(), None, ConvAlgorithm::Direct)?;
+        let mut reference = Tensor::zeros(&direct.output_dims(input.dims())?);
+        direct.run_into(&input, &mut reference, &pool)?;
 
         println!(
             "{:<26} {:>12} {:>10}",
@@ -56,13 +57,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ConvAlgorithm::SpatialPack,
         ] {
             let conv = Conv2d::new(params, weight.clone(), None, algo)?;
-            let out = conv.run(&input, &pool)?; // warm-up + correctness
+            let mut out = Tensor::zeros(&conv.output_dims(input.dims())?);
+            conv.run_into(&input, &mut out, &pool)?; // warm-up + correctness
             let report = allclose(&out, &reference, 1e-3, 1e-4);
             assert!(report.ok, "{algo} disagrees with reference: {report:?}");
             let start = Instant::now();
             let runs = 5;
             for _ in 0..runs {
-                conv.run(&input, &pool)?;
+                conv.run_into(&input, &mut out, &pool)?;
             }
             let micros = start.elapsed().as_secs_f64() * 1e6 / runs as f64;
             println!(

@@ -101,6 +101,15 @@ printf '%s\n' direct 'im2col-gemm(packed)' spatial-pack | sort \
   | diff - "$LINT_TMP/sweep_algos.txt"
 ./target/release/orpheus-cli policy --model tiny_cnn --hw 8 --repeats 1
 
+echo "== examples (release: each runs once and must exit 0) =="
+# clippy only compiles examples/; this runs each one at its default size, so
+# an example whose call sites build but fail at run time fails the gate.
+for example in examples/*.rs; do
+  name="$(basename "$example" .rs)"
+  echo "-- $name"
+  cargo run --release -q --example "$name" > "$LINT_TMP/example_$name.txt"
+done
+
 echo "== plan soundness (release, all zoo models x full bucket ladder) =="
 # The static execution-plan checker (ORV015-ORV022) proves every model's
 # arena-reuse plan sound at every batch bucket up to 8: no use after

@@ -83,9 +83,9 @@ proptest! {
                 .with_padding(pad, pad)
         };
         let (graph, input, weight) = conv_graph(&params, h, h, seed);
-        let reference = Conv2d::new(params, weight, None, ConvAlgorithm::Direct)
-            .expect("reference conv")
-            .run(&input, &ThreadPool::single())
+        let conv = Conv2d::new(params, weight, None, ConvAlgorithm::Direct).expect("reference conv");
+        let mut reference = Tensor::zeros(&conv.output_dims(input.dims()).expect("rank-4 input"));
+        conv.run_into(&input, &mut reference, &ThreadPool::single())
             .expect("reference runs");
 
         let onnx = orpheus_onnx::export_model(&graph).expect("export");

@@ -100,7 +100,7 @@ fn survives_onnx_round_trip() {
 
 #[test]
 fn manual_pad_conv_equals_padded_conv() {
-    // pad_constant + unpadded conv == padded conv, at the operator level.
+    // pad_constant_into + unpadded conv == padded conv, at the operator level.
     let params_padded = Conv2dParams::square(2, 4, 3).with_padding(1, 1);
     let params_plain = Conv2dParams::square(2, 4, 3);
     let weight = Tensor::from_fn(&params_padded.weight_dims(), |i| {
@@ -109,17 +109,22 @@ fn manual_pad_conv_equals_padded_conv() {
     let input = Tensor::from_fn(&[1, 2, 6, 6], |i| ((i * 7 % 13) as f32 - 6.0) * 0.2);
     let pool = ThreadPool::single();
 
-    let direct = Conv2d::new(params_padded, weight.clone(), None, ConvAlgorithm::Direct)
-        .unwrap()
-        .run(&input, &pool)
-        .unwrap();
-    let padded_input =
-        orpheus_ops::pad::pad_constant(&input, &[0, 0, 1, 1], &[0, 0, 1, 1], 0.0).unwrap();
-    let via_pad = Conv2d::new(params_plain, weight, None, ConvAlgorithm::Direct)
-        .unwrap()
-        .run(&padded_input, &pool)
-        .unwrap();
-    assert_eq!(direct, via_pad);
+    let run = |params, input: &Tensor| {
+        let conv = Conv2d::new(params, weight.clone(), None, ConvAlgorithm::Direct).unwrap();
+        let mut out = Tensor::zeros(&conv.output_dims(input.dims()).unwrap());
+        conv.run_into(input, &mut out, &pool).unwrap();
+        out
+    };
+    let mut padded_input = Tensor::zeros(&[1, 2, 8, 8]);
+    orpheus_ops::pad::pad_constant_into(
+        input.view(),
+        &[0, 0, 1, 1],
+        &[0, 0, 1, 1],
+        0.0,
+        padded_input.view_mut(),
+    )
+    .unwrap();
+    assert_eq!(run(params_padded, &input), run(params_plain, &padded_input));
 }
 
 #[test]
